@@ -43,7 +43,6 @@ from .lab import (
     SequenceLaw,
     UrnComposition,
     admits_exchangeable_extension,
-    beta_integral_oracle,
     canonical_mixture,
     df_bound,
     has_positive_cylinders,
@@ -119,6 +118,5 @@ __all__ = [
     "canonical_mixture",
     "variation_distance",
     "df_bound",
-    "beta_integral_oracle",
     "admits_exchangeable_extension",
 ]

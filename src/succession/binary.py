@@ -9,6 +9,10 @@ has up to three parts,
 * a point mass at theta = 0 (the dual generalization: nothing confirms),
 * a continuous Beta(alpha, beta) component spread over (0, 1).
 
+This is the t = 2 case of :mod:`succession.simplex`: the two points are
+vertices of the simplex and the continuous part a Dirichlet over both
+types, and marginals and posterior weights come from the simplex engine.
+
 Everything downstream is exact rational arithmetic. The classical rules
 of succession drop out as special cases: a pure Beta(1, 1) prior gives
 Laplace's (n+1)/(n+2); half a point at theta=1 plus half Beta(1, 1) gives
@@ -21,15 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoContinuousComponent, UGFalsified, ZeroEvidenceProbability
-from .exact import (
-    ONE,
-    ZERO,
-    RationalLike,
-    all_success_probability,
-    as_rational,
-    beta_sequence_marginal,
-)
+from .errors import NoContinuousComponent, UGFalsified
+from .exact import ONE, ZERO, RationalLike, all_success_probability, as_rational
+from .simplex import _binary_faces, _posterior_weights, _weighted_marginals
 
 __all__ = [
     "Evidence",
@@ -141,22 +139,6 @@ class BinaryPrior:
         return cls(d / (1 + d), ZERO, 1 / (1 + d), as_rational(alpha), ONE)
 
 
-def _component_likelihoods(
-    prior: BinaryPrior, ev: Evidence
-) -> tuple[Fraction, Fraction, Fraction]:
-    # Likelihood of one particular ordered sequence with ev's tallies,
-    # under each prior component in turn.
-    like_theta1 = ONE if ev.disconfirm == 0 else ZERO
-    like_theta0 = ONE if ev.confirm == 0 else ZERO
-    if prior.mass_continuous > 0:
-        like_cont = beta_sequence_marginal(
-            prior.alpha, prior.beta, ev.confirm, ev.disconfirm
-        )
-    else:
-        like_cont = ZERO
-    return like_theta1, like_theta0, like_cont
-
-
 def marginal_likelihood(prior: BinaryPrior, ev: Evidence) -> Fraction:
     """Prior probability of one particular ordered sequence carrying the
     given tallies: the mass-weighted sum of component likelihoods.
@@ -165,32 +147,13 @@ def marginal_likelihood(prior: BinaryPrior, ev: Evidence) -> Fraction:
     the point at theta=0 only when nothing confirms, and the continuous part
     contributes B(alpha+confirm, beta+disconfirm) / B(alpha, beta).
     """
-    l1, l0, lc = _component_likelihoods(prior, ev)
-    return (
-        prior.mass_theta1 * l1
-        + prior.mass_theta0 * l0
-        + prior.mass_continuous * lc
-    )
+    counts = (ev.confirm, ev.disconfirm)
+    return sum(_weighted_marginals(counts, _binary_faces(prior)), ZERO)
 
 
-def _posterior_weights(
-    prior: BinaryPrior, ev: Evidence
-) -> tuple[Fraction, Fraction, Fraction]:
-    l1, l0, lc = _component_likelihoods(prior, ev)
-    m = (
-        prior.mass_theta1 * l1
-        + prior.mass_theta0 * l0
-        + prior.mass_continuous * lc
-    )
-    if m == 0:
-        raise ZeroEvidenceProbability(
-            f"the prior assigns probability 0 to evidence {ev!r}"
-        )
-    return (
-        prior.mass_theta1 * l1 / m,
-        prior.mass_theta0 * l0 / m,
-        prior.mass_continuous * lc / m,
-    )
+def _posterior(prior: BinaryPrior, ev: Evidence) -> tuple[Fraction, ...]:
+    # posterior masses of (theta=1, theta=0, continuous)
+    return _posterior_weights((ev.confirm, ev.disconfirm), _binary_faces(prior))
 
 
 def posterior_ug(prior: BinaryPrior, ev: Evidence) -> Fraction:
@@ -201,7 +164,7 @@ def posterior_ug(prior: BinaryPrior, ev: Evidence) -> Fraction:
     ZeroEvidenceProbability when the prior gave the evidence no chance
     at all (conditioning undefined).
     """
-    w1, _, _ = _posterior_weights(prior, ev)
+    w1, _, _ = _posterior(prior, ev)
     return w1
 
 
@@ -228,7 +191,7 @@ def predict_next(prior: BinaryPrior, ev: Evidence) -> Fraction:
     """Probability that the next instance confirms, averaged over the
     posterior: theta=1 predicts 1, theta=0 predicts 0, the continuous
     part predicts (alpha+confirm) / (alpha+beta+total)."""
-    w1, _, wc = _posterior_weights(prior, ev)
+    w1, _, wc = _posterior(prior, ev)
     out = w1
     if wc != 0:
         out += wc * (prior.alpha + ev.confirm) / (
@@ -249,7 +212,7 @@ def predict_block(
     """
     if isinstance(query, int):
         query = PredictionQuery(query)
-    w1, _, wc = _posterior_weights(prior, ev)
+    w1, _, wc = _posterior(prior, ev)
     out = w1
     if wc != 0:
         out += wc * all_success_probability(

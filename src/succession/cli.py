@@ -23,17 +23,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .binary import (
-    BinaryPrior,
-    Evidence,
-    marginal_likelihood,
-    posterior_ug,
-    predict_block,
-    predict_next,
-)
+from .binary import BinaryPrior, Evidence, predict_block, predict_next
 from .errors import (
     DimensionMismatch,
     InvalidRule,
@@ -43,7 +37,7 @@ from .errors import (
     UGFalsified,
     ZeroEvidenceProbability,
 )
-from .exact import ONE, ZERO, as_rational, decimal_string
+from .exact import ONE, ZERO, as_rational, decimal_string, int_string
 from .lab import (
     UrnComposition,
     canonical_mixture,
@@ -60,21 +54,21 @@ from .simplex import (
     carnap_predictive,
     dirichlet_predictive,
     from_binary_prior,
+    mixture_posterior,
     mixture_predictive,
 )
 
 __all__ = ["main"]
 
 MAX_DIGITS = 10_000
-BINARY_RULES = ("laplace", "haldane", "jeffreys-split", "general")
-LAB_RULES = (
-    "dirichlet",
-    "carnap",
-    "hintikka",
-    "laplace",
-    "haldane",
-    "jeffreys-split",
-)
+# the named binary rules, each a prior built from alpha
+NAMED_PRIORS: dict[str, Callable[[Fraction], BinaryPrior]] = {
+    "laplace": BinaryPrior.laplace,
+    "haldane": BinaryPrior.haldane,
+    "jeffreys-split": BinaryPrior.jeffreys_split,
+}
+BINARY_RULES = (*NAMED_PRIORS, "general")
+LAB_RULES = ("dirichlet", "carnap", "hintikka", *NAMED_PRIORS)
 # per-sequence listings switch to per-class summaries above this many rows
 URN_LISTING_CAP = 256
 
@@ -150,11 +144,10 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 def _rule_list(text: str) -> tuple[str, ...]:
     rules = tuple(part.strip() for part in text.split(","))
-    allowed = ("laplace", "haldane", "jeffreys-split")
     for rule in rules:
-        if rule not in allowed:
+        if rule not in NAMED_PRIORS:
             raise argparse.ArgumentTypeError(
-                f"unknown rule {rule!r}; choose from {', '.join(allowed)}"
+                f"unknown rule {rule!r}; choose from {', '.join(NAMED_PRIORS)}"
             )
     return rules
 
@@ -169,8 +162,8 @@ def _record(
         "rule": rule,
         "inputs": inputs,
         "exact": {
-            "num": str(value.numerator),
-            "den": str(value.denominator),
+            "num": int_string(value.numerator),
+            "den": int_string(value.denominator),
         },
         "decimal": decimal_string(value, digits),
     }
@@ -238,24 +231,7 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
     if rule != "general" and rule != "laplace" and beta != 1:
         raise ValueError(f"rule {rule!r} is defined with beta = 1")
 
-    if rule == "laplace":
-        if odds is not None:
-            raise ValueError("--prior-odds is meaningless for laplace "
-                             "(no mass on the no-exceptions hypothesis)")
-        prior = BinaryPrior.laplace(alpha, beta)
-    elif rule == "haldane":
-        prior = (
-            BinaryPrior.from_prior_odds(odds, alpha)
-            if odds is not None
-            else BinaryPrior.haldane(alpha)
-        )
-    elif rule == "jeffreys-split":
-        if odds is not None:
-            share = odds / (2 * (1 + odds))
-            prior = BinaryPrior(share, share, 1 / (1 + odds), alpha, ONE)
-        else:
-            prior = BinaryPrior.jeffreys_split(alpha)
-    elif rule == "general":
+    if rule == "general":
         if any(m is None for m in masses):
             raise ValueError(
                 "--rule general needs --mass1, --mass0, and --mass-cont"
@@ -266,8 +242,17 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
         echo.update(
             mass1=str(masses[0]), mass0=str(masses[1]), mass_cont=str(masses[2])
         )
-    else:  # unreachable behind argparse choices
-        raise ValueError(f"unknown rule {rule!r}")
+    elif odds is None:
+        # beta is 1 for every named rule but laplace (checked above)
+        prior = replace(NAMED_PRIORS[rule](alpha), beta=beta)
+    elif rule == "laplace":
+        raise ValueError("--prior-odds is meaningless for laplace "
+                         "(no mass on the no-exceptions hypothesis)")
+    elif rule == "haldane":
+        prior = BinaryPrior.from_prior_odds(odds, alpha)
+    else:  # jeffreys-split: the odds' point mass split evenly over both points
+        share = odds / (2 * (1 + odds))
+        prior = BinaryPrior(share, share, 1 / (1 + odds), alpha, ONE)
 
     echo["alpha"] = str(alpha)
     if rule in ("general", "laplace"):
@@ -320,21 +305,15 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
         )
     inputs = {"rule": args.rule, "n": str(ev.confirm), "m": str(ev.disconfirm), **echo}
 
-    posterior = posterior_ug(prior, ev)
-    point_share = prior.mass_theta1 + prior.mass_theta0
-    point_prior = BinaryPrior(
-        prior.mass_theta1 / point_share,
-        prior.mass_theta0 / point_share,
-        ZERO,
-        prior.alpha,
-        prior.beta,
+    w1, w0, wc = mixture_posterior(
+        from_binary_prior(prior), (ev.confirm, ev.disconfirm)
     )
-    cont_prior = BinaryPrior.laplace(prior.alpha, prior.beta)
-    factor = marginal_likelihood(point_prior, ev) / marginal_likelihood(
-        cont_prior, ev
-    )
+    # posterior odds of the point masses against the continuous part are
+    # their prior odds times the Bayes factor
+    point_mass = prior.mass_theta1 + prior.mass_theta0
+    factor = (w1 + w0) / wc * prior.mass_continuous / point_mass
     records = [
-        _record("posterior-ug", inputs, posterior, args.digits),
+        _record("posterior-ug", inputs, w1, args.digits),
         _record("bayes-factor", inputs, factor, args.digits),
     ]
     _emit(records, args.format)
@@ -346,12 +325,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("missing --n-list")
     records = []
     for rule in args.rules:
-        if rule == "laplace":
-            prior = BinaryPrior.laplace(args.alpha)
-        elif rule == "haldane":
-            prior = BinaryPrior.haldane(args.alpha)
-        else:
-            prior = BinaryPrior.jeffreys_split(args.alpha)
+        prior = NAMED_PRIORS[rule](args.alpha)
         for n in args.n_list:
             value = predict_next(prior, Evidence(n))
             inputs = {"n": str(n), "alpha": str(args.alpha)}
@@ -391,15 +365,8 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
         echo["t"] = str(args.t)
         return lambda counts: mixture_predictive(prior, counts), args.t, echo
     # binary rules, confirmation mapped to type 0
-    alpha = args.alpha
-    echo["alpha"] = str(alpha)
-    if rule == "laplace":
-        binary = BinaryPrior.laplace(alpha)
-    elif rule == "haldane":
-        binary = BinaryPrior.haldane(alpha)
-    else:
-        binary = BinaryPrior.jeffreys_split(alpha)
-    mixture = from_binary_prior(binary)
+    echo["alpha"] = str(args.alpha)
+    mixture = from_binary_prior(NAMED_PRIORS[rule](args.alpha))
     return lambda counts: mixture_predictive(mixture, counts), 2, echo
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "rising_ratio",
     "beta_sequence_marginal",
     "all_success_probability",
+    "int_string",
     "decimal_string",
 ]
 
@@ -28,6 +29,10 @@ RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# str() refuses ints longer than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640 when set); 2000 bits is under 640 digits.
+_DIRECT_BITS = 2000
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -156,6 +161,22 @@ def all_success_probability(a: Fraction, b: Fraction, horizon: int) -> Fraction:
     return rising_ratio(a, a + b, horizon)
 
 
+def int_string(value: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    Large values are split at a power of ten into halves that convert
+    separately, so the interpreter's cap on int-to-str conversion never
+    applies.
+    """
+    if value < 0:
+        return "-" + int_string(-value)
+    if value.bit_length() <= _DIRECT_BITS:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the digit count
+    high, low = divmod(value, 10**half)
+    return int_string(high) + int_string(low).zfill(half)
+
+
 def decimal_string(value: Fraction, digits: int) -> str:
     """Render ``value`` as a fixed-point decimal with exactly ``digits``
     digits after the point, rounding to nearest with ties to even.
@@ -172,6 +193,6 @@ def decimal_string(value: Fraction, digits: int) -> str:
     if double > den or (double == den and scaled % 2 == 1):
         scaled += 1
     if digits == 0:
-        return f"{sign}{scaled}"
+        return sign + int_string(scaled)
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{int_string(whole)}.{int_string(frac).zfill(digits)}"

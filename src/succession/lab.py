@@ -7,12 +7,13 @@ law to a mixture of iid laws) are checked by inspection rather than
 simulation. Tables are capped; the lab is an oracle, not a production
 path.
 
-A law built from an exchangeable model is constant on permutation classes
-of sequences, and the lab stores such laws by class (count vector ->
-per-sequence probability). The dense table the public contract promises
-materializes lazily; pairwise operations use the class form when both
-operands carry it, which is what makes exhaustive sweeps over urns
-affordable.
+Urn laws and canonical mixtures are constant on permutation classes of
+sequences, and the lab stores them by class (count vector -> per-sequence
+probability). The dense table the public contract promises materializes
+lazily; pairwise operations use the class form when both operands carry
+it, which is what makes exhaustive sweeps over urns affordable. Laws built
+from a predictive rule are always dense, exchangeable rule or not: the
+chain rule fills one entry per sequence.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "canonical_mixture",
     "variation_distance",
     "df_bound",
-    "beta_integral_oracle",
     "admits_exchangeable_extension",
 ]
 
@@ -482,17 +482,6 @@ def df_bound(t: int, k: int, n: int) -> Fraction:
     if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < k:
         raise ValueError("need draws 1 <= k <= n")
     return Fraction(2 * t * k, n)
-
-
-def beta_integral_oracle(a: int, b: int) -> Fraction:
-    """Exact Beta function at positive integers from factorials alone:
-    B(a, b) = (a-1)! (b-1)! / (a+b-1)!. Independent of the engine's
-    rising-factorial routes, which is the point: it anchors the tests."""
-    if not isinstance(a, int) or not isinstance(b, int) or a < 1 or b < 1:
-        raise ValueError("the factorial form needs positive integers")
-    return Fraction(
-        math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1)
-    )
 
 
 def admits_exchangeable_extension(law: SequenceLaw) -> bool:

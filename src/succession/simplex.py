@@ -7,17 +7,25 @@ mass (some type occurs with certainty); a component on a larger face is a
 Dirichlet over the types that face allows. Components supported on a
 proper face assign probability zero to every type outside it, so one
 observation of an excluded type kills the component outright.
+
+This module is the package's one marginal engine; :mod:`succession.binary`
+is its t = 2 view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import reduce
+from itertools import accumulate
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .binary import BinaryPrior
 from .errors import DimensionMismatch, ZeroEvidenceProbability
-from .exact import ONE, ZERO, RationalLike, as_rational, rising
+from .exact import ONE, ZERO, RationalLike, as_rational, beta_sequence_marginal
+
+if TYPE_CHECKING:
+    from .binary import BinaryPrior
 
 __all__ = [
     "MultinomialCounts",
@@ -202,30 +210,73 @@ def carnap_predictive(counts: CountsLike, lam: RationalLike) -> tuple[Fraction, 
     return dirichlet_predictive(cts, (share,) * cts.t)
 
 
+class _Face(NamedTuple):
+    """An unvalidated component: the same fields as DirichletComponent,
+    for callers whose inputs are already checked (the binary view)."""
+
+    support: tuple[int, ...]
+    params: tuple[Fraction, ...]
+    weight: Fraction
+
+
 def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Fraction:
     """Probability of one particular ordered sequence carrying ``counts``,
     under a single component.
 
-    A vertex gives 1 when nothing outside it was observed, else 0. A face
-    component gives 0 as soon as an excluded type shows up; otherwise the
-    Dirichlet marginal is the rising-factorial product
-    prod_j rising(k_j, n_j) / rising(k, n) over the supported types.
+    The component gives 0 as soon as a type outside its support shows up.
+    Otherwise the Dirichlet marginal prod_j rising(k_j, n_j) / rising(k, n)
+    factors into Beta marginals by splitting off one supported type at a
+    time (the neutrality of the Dirichlet): type j against all supported
+    types after it. Each factor takes its own cheapest exact route, and a
+    vertex, with nothing to split, gives 1.
     """
     cts = _as_counts(counts)
     if component.support[-1] >= cts.t:
         raise DimensionMismatch(
             f"component support exceeds t={cts.t}"
         )
-    in_support = set(component.support)
-    if any(cts[j] > 0 and j not in in_support for j in range(cts.t)):
+    return _marginal(cts.counts, component)
+
+
+def _marginal(counts: tuple[int, ...], face: _Face | DirichletComponent) -> Fraction:
+    """sequence_marginal on checked input: ``counts`` a plain tuple."""
+    ks = face.params
+    ns = [counts[j] for j in face.support]
+    if sum(ns) != sum(counts):
         return ZERO
-    if component.is_vertex:
-        return ONE
-    num = ONE
-    for j, k in zip(component.support, component.params):
-        num *= rising(k, cts[j])
-    total_param = sum(component.params, ZERO)
-    return num / rising(total_param, cts.n)
+    # last split first: zip pairs type j with the running totals of the
+    # parameters and counts after it
+    factors = [
+        beta_sequence_marginal(k, k_after, n, n_after)
+        for k, n, k_after, n_after in zip(
+            ks[-2::-1], ns[-2::-1], accumulate(ks[:0:-1]), accumulate(ns[:0:-1])
+        )
+    ]
+    return reduce(mul, factors) if factors else ONE
+
+
+def _weighted_marginals(
+    counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
+) -> tuple[Fraction, ...]:
+    # weight times sequence marginal per component; a weightless component
+    # is never evaluated
+    return tuple(
+        c.weight * _marginal(counts, c) if c.weight else ZERO for c in components
+    )
+
+
+def _posterior_weights(
+    counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
+) -> tuple[Fraction, ...]:
+    """Posterior component weights: weighted marginals, normalized.
+    Raises ZeroEvidenceProbability when every component dies."""
+    raw = _weighted_marginals(counts, components)
+    total = sum(raw, ZERO)
+    if total == 0:
+        raise ZeroEvidenceProbability(
+            f"the prior assigns probability 0 to counts {counts}"
+        )
+    return tuple(r / total if r else ZERO for r in raw)
 
 
 def mixture_posterior(
@@ -239,15 +290,7 @@ def mixture_posterior(
         raise DimensionMismatch(
             f"counts over {cts.t} types against a prior with t={prior.t}"
         )
-    raw = tuple(
-        comp.weight * sequence_marginal(cts, comp) for comp in prior.components
-    )
-    total = sum(raw, ZERO)
-    if total == 0:
-        raise ZeroEvidenceProbability(
-            f"the prior assigns probability 0 to counts {cts.counts}"
-        )
-    return tuple(r / total for r in raw)
+    return _posterior_weights(cts.counts, prior.components)
 
 
 def _component_predictive(
@@ -289,9 +332,16 @@ def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:
     confirmatory outcome: the theta=1 point becomes the vertex at type 0,
     the theta=0 point the vertex at type 1, and the continuous part a
     Dirichlet(alpha, beta) over both."""
-    comps = (
-        DirichletComponent.vertex(0, prior.mass_theta1),
-        DirichletComponent.vertex(1, prior.mass_theta0),
-        DirichletComponent.full((prior.alpha, prior.beta), prior.mass_continuous),
+    return SimplexMixturePrior(
+        2, tuple(DirichletComponent(*face) for face in _binary_faces(prior))
     )
-    return SimplexMixturePrior(2, comps)
+
+
+def _binary_faces(prior: BinaryPrior) -> tuple[_Face, _Face, _Face]:
+    # the components of from_binary_prior, unvalidated: the binary module
+    # builds them on every call
+    return (
+        _Face((0,), (), prior.mass_theta1),
+        _Face((1,), (), prior.mass_theta0),
+        _Face((0, 1), (prior.alpha, prior.beta), prior.mass_continuous),
+    )

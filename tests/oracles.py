@@ -5,6 +5,7 @@ Dirichlet normalizing constants in closed factorial form, sequence
 marginals as ratios of them, and predictive probabilities as ratios of
 successive marginals (extend the record by one observation, divide).
 
+Decimal renderings come from the standard ``decimal`` module instead.
 None of this shares code with the engine, which evaluates the same
 quantities through telescoped rising-factorial products and
 posterior-component averaging. Agreement between the two routes is the
@@ -13,6 +14,7 @@ backbone of the suite.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
@@ -104,3 +106,23 @@ def mixture_predictive(
     bumped = list(counts)
     bumped[j] += 1
     return mixture_marginal(prior, tuple(bumped)) / mixture_marginal(prior, counts)
+
+
+def decimal_reference(value: Fraction, digits: int) -> str:
+    """``value`` to ``digits`` places, ties to even, by the decimal module.
+    Division rounds 50 digits past the target, which cannot make a
+    double-rounding tie out of a nonterminating repeating decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 50 + value.numerator.bit_length() // 3
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        return str(quotient.quantize(Decimal(1).scaleb(-digits), ROUND_HALF_EVEN))
+
+
+def parse_int(text: str) -> int:
+    """int() of a decimal string of any length, 500 digits at a time."""
+    sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+    out = 0
+    for i in range(0, len(body), 500):
+        piece = body[i : i + 500]
+        out = out * 10 ** len(piece) + int(piece)
+    return sign * out

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 import pytest
 from jsonschema import validate
 
+from oracles import decimal_reference, parse_int
+from succession import BinaryPrior, Evidence, predict_block
 from succession.cli import main
 
 RECORD_SCHEMA = {
@@ -367,3 +369,25 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert F(int(rec["exact"]["num"]), int(rec["exact"]["den"])) == F(48, 49)
+
+
+class TestLongNumbers:
+    """Output longer than CPython's 4300-digit cap on int-to-str."""
+
+    def test_ten_thousand_digits(self, capsys):
+        rec = run_json(
+            capsys, "predict", "--rule", "haldane", "--n", "5", "--digits", "10000"
+        )
+        validate(rec, RECORD_SCHEMA)
+        assert rec["decimal"] == decimal_reference(F(48, 49), 10_000)
+
+    def test_exact_pair_beyond_the_cap(self, capsys):
+        rec = run_json(
+            capsys, "predict", "--rule", "laplace", "--alpha", "1/3",
+            "--beta", "1/7", "--n", "0", "--block", "4000",
+        )
+        validate(rec, RECORD_SCHEMA)
+        assert len(rec["exact"]["num"]) > 4300
+        value = F(parse_int(rec["exact"]["num"]), parse_int(rec["exact"]["den"]))
+        prior = BinaryPrior.laplace(F(1, 3), F(1, 7))
+        assert value == predict_block(prior, Evidence(0), 4000)

@@ -9,10 +9,11 @@ from succession.exact import (
     beta_sequence_marginal,
     decimal_string,
     falling,
+    int_string,
     rising,
     rising_ratio,
 )
-from oracles import beta_marginal
+from oracles import beta_marginal, decimal_reference, parse_int
 
 
 class TestAsRational:
@@ -155,3 +156,29 @@ class TestDecimalString:
         value = F(num, den)
         rendered = F(decimal_string(value, digits))
         assert abs(rendered - value) <= F(1, 2 * 10**digits)
+
+    @pytest.mark.parametrize(
+        "value,digits",
+        [(F(48, 49), 10_000), (F(-22, 7), 6_000), (F(3**10_000, 7), 5)],
+        ids=["48/49", "-22/7", "3^10000/7"],
+    )
+    def test_past_the_int_str_limit_matches_decimal_module(self, value, digits):
+        # more digits than CPython's default int-to-str cap of 4300, in the
+        # fraction part or in the whole part
+        assert decimal_string(value, digits) == decimal_reference(value, digits)
+
+
+class TestIntString:
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -12345, 2**2000, 3**20_000, -(7**9_000), 10**5_000, 10**5_000 - 1],
+        ids=["0", "7", "-12345", "2^2000", "3^20000", "-7^9000", "10^5000", "10^5000-1"],
+    )
+    def test_round_trip(self, value):
+        text = int_string(value)
+        assert parse_int(text) == value
+        assert text.lstrip("-") == "0" or not text.lstrip("-").startswith("0")
+
+    def test_powers_of_ten_have_exact_width(self):
+        assert int_string(10**5_000) == "1" + "0" * 5_000
+        assert int_string(10**5_000 - 1) == "9" * 5_000

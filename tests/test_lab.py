@@ -16,7 +16,6 @@ from succession import (
     TableTooLarge,
     UrnComposition,
     admits_exchangeable_extension,
-    beta_integral_oracle,
     canonical_mixture,
     carnap_predictive,
     df_bound,
@@ -339,23 +338,6 @@ class TestDfBound:
             df_bound(2, 0, 2)
         with pytest.raises(ValueError):
             df_bound(2, 3, 2)
-
-
-class TestBetaIntegralOracle:
-    def test_frozen_values(self):
-        assert beta_integral_oracle(1, 1) == 1
-        assert beta_integral_oracle(2, 2) == F(1, 6)
-        assert beta_integral_oracle(3, 2) == F(1, 12)
-
-    def test_first_column_sweep(self):
-        for n in range(1, 30):
-            assert beta_integral_oracle(1, n) == F(1, n)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            beta_integral_oracle(0, 1)
-        with pytest.raises(ValueError):
-            beta_integral_oracle(1, -2)
 
 
 class TestExchangeableExtension:

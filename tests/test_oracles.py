@@ -22,6 +22,25 @@ def test_beta_function_matches_symbolic_integral(a, b):
     assert beta_function(a, b) == Fraction(int(integral.p), int(integral.q))
 
 
+def test_beta_function_frozen_values():
+    assert beta_function(1, 1) == 1
+    assert beta_function(2, 2) == Fraction(1, 6)
+    assert beta_function(3, 2) == Fraction(1, 12)
+
+
+def test_beta_function_first_column_sweep():
+    # B(1, n) = 1/n
+    for n in range(1, 30):
+        assert beta_function(1, n) == Fraction(1, n)
+
+
+def test_beta_function_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        beta_function(0, 1)
+    with pytest.raises(ValueError):
+        beta_function(1, -2)
+
+
 @pytest.mark.parametrize(
     "alpha,beta,confirms,disconfirms",
     [(1, 1, 2, 1), (1, 1, 0, 0), (2, 1, 3, 0), (2, 3, 1, 2)],

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,9 +22,31 @@ from succession import (
     predict_next,
     sequence_marginal,
 )
+from succession.exact import rising
 import oracles
 
 THIRD = F(1, 3)
+
+
+def direct_marginal(counts, component):
+    """The Dirichlet sequence marginal as one rising-factorial product,
+    prod_j rising(k_j, n_j) / rising(k, n) over the support; a vertex
+    gives 1 and any observation outside the support gives 0."""
+    if any(c > 0 and j not in component.support for j, c in enumerate(counts)):
+        return F(0)
+    if component.is_vertex:
+        return F(1)
+    num = F(1)
+    for j, k in zip(component.support, component.params):
+        num *= rising(k, counts[j])
+    return num / rising(sum(component.params, F(0)), sum(counts))
+
+
+PARAMETER_SETS = {
+    "integer": (F(1), F(2), F(3), F(1)),
+    "fractional": (F(1, 2), F(5, 3), F(7, 2), F(2, 7)),
+    "mixed": (F(3), F(1, 2), F(1), F(7, 3)),
+}
 
 TWO_VERTICES_AND_FLAT = SimplexMixturePrior(
     3,
@@ -149,6 +173,29 @@ class TestSequenceMarginal:
                 (2, 1, 1), counts
             )
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("params", PARAMETER_SETS.values(), ids=PARAMETER_SETS)
+    def test_equals_direct_product_on_every_face(self, t, params):
+        # the stick-breaking factorization against the product it replaces,
+        # on vertices, edges and full faces, counts up to 12
+        faces = [
+            support
+            for size in range(1, t + 1)
+            for support in itertools.combinations(range(t), size)
+        ]
+        for support in faces:
+            ks = () if len(support) == 1 else params[: len(support)]
+            comp = DirichletComponent(support, ks, 1)
+            for counts in itertools.product((0, 1, 2, 5, 12), repeat=t):
+                value = sequence_marginal(counts, comp)
+                assert value == direct_marginal(counts, comp)
+                if len(support) > 1 and all(k.denominator == 1 for k in ks):
+                    if all(counts[j] == 0 for j in range(t) if j not in support):
+                        assert value == oracles.dirichlet_marginal(
+                            tuple(int(k) for k in ks),
+                            tuple(counts[j] for j in support),
+                        )
+
     def test_order_invariance_is_structural(self):
         # the marginal takes counts, not sequences, so permuting a sample
         # cannot change it; spot-check equal-count references
@@ -264,6 +311,30 @@ class TestCrossModuleAgreement:
                             mixture_predictive(mixture, (n, m))
                         continue
                     assert mixture_predictive(mixture, (n, m))[0] == expected
+
+
+    @pytest.mark.parametrize(
+        "binary",
+        [
+            BinaryPrior.laplace(2, 3),
+            BinaryPrior.haldane(),
+            BinaryPrior.jeffreys_split(2),
+            BinaryPrior(F(1, 3), F(1, 6), F(1, 2), 3, 2),
+        ],
+        ids=["laplace", "haldane", "jeffreys-split", "general"],
+    )
+    @pytest.mark.parametrize("n", [10**3, 3 * 10**4, 2 * 10**18 - 1])
+    @pytest.mark.parametrize("m", [0, 7])
+    def test_large_samples_agree_exactly_and_fast(self, binary, n, m):
+        # integer parameters keep every Beta factor on a telescoped route,
+        # so the mixture path costs what the binary one does
+        mixture = from_binary_prior(binary)
+        start = time.perf_counter()
+        value = mixture_predictive(mixture, (n, m))[0]
+        assert time.perf_counter() - start < 0.05
+        start = time.perf_counter()
+        assert value == predict_next(binary, Evidence(n, m))
+        assert time.perf_counter() - start < 0.05
 
 
 def test_observed_type_count():
