@@ -37,7 +37,7 @@ from .errors import (
     UGFalsified,
     ZeroEvidenceProbability,
 )
-from .exact import ONE, ZERO, as_rational, decimal_string, int_string
+from .exact import ONE, ZERO, as_rational, decimal_string, int_string, parse_int
 from .lab import (
     UrnComposition,
     canonical_mixture,
@@ -78,7 +78,7 @@ URN_LISTING_CAP = 256
 
 def _nonneg_int(text: str) -> int:
     try:
-        value = int(text.strip())
+        value = parse_int(text.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
@@ -169,6 +169,14 @@ def _record(
     }
 
 
+def _text(value: Fraction | int) -> str:
+    """``str(value)`` for an exact number of any length."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return int_string(value.numerator)
+    return f"{int_string(value.numerator)}/{int_string(value.denominator)}"
+
+
 def _bool_record(rule: str, inputs: dict[str, str], flag: bool, digits: int) -> dict:
     return _record(rule, inputs, ONE if flag else ZERO, digits)
 
@@ -240,7 +248,7 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
             raise ValueError("--prior-odds cannot be combined with explicit masses")
         prior = BinaryPrior(masses[0], masses[1], masses[2], alpha, beta)
         echo.update(
-            mass1=str(masses[0]), mass0=str(masses[1]), mass_cont=str(masses[2])
+            mass1=_text(masses[0]), mass0=_text(masses[1]), mass_cont=_text(masses[2])
         )
     elif odds is None:
         # beta is 1 for every named rule but laplace (checked above)
@@ -254,11 +262,11 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
         share = odds / (2 * (1 + odds))
         prior = BinaryPrior(share, share, 1 / (1 + odds), alpha, ONE)
 
-    echo["alpha"] = str(alpha)
+    echo["alpha"] = _text(alpha)
     if rule in ("general", "laplace"):
-        echo["beta"] = str(beta)
+        echo["beta"] = _text(beta)
     if odds is not None:
-        echo["prior_odds"] = str(odds)
+        echo["prior_odds"] = _text(odds)
     return prior, echo
 
 
@@ -274,10 +282,10 @@ def _require_n(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     prior, echo = _build_prior(args)
     ev = Evidence(_require_n(args), args.m)
-    inputs = {"n": str(ev.confirm), "m": str(ev.disconfirm), **echo}
+    inputs = {"n": _text(ev.confirm), "m": _text(ev.disconfirm), **echo}
     if args.block is not None:
         value = predict_block(prior, ev, args.block)
-        inputs["block"] = str(args.block)
+        inputs["block"] = _text(args.block)
     else:
         value = predict_next(prior, ev)
     rec = _record(args.rule, inputs, value, args.digits)
@@ -303,7 +311,7 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
             f"{ev.disconfirm} disconfirming instance(s) falsify the "
             "generalization outright"
         )
-    inputs = {"rule": args.rule, "n": str(ev.confirm), "m": str(ev.disconfirm), **echo}
+    inputs = {"rule": args.rule, "n": _text(ev.confirm), "m": _text(ev.disconfirm), **echo}
 
     w1, w0, wc = mixture_posterior(
         from_binary_prior(prior), (ev.confirm, ev.disconfirm)
@@ -328,7 +336,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         prior = NAMED_PRIORS[rule](args.alpha)
         for n in args.n_list:
             value = predict_next(prior, Evidence(n))
-            inputs = {"n": str(n), "alpha": str(args.alpha)}
+            inputs = {"n": _text(n), "alpha": _text(args.alpha)}
             records.append(_record(rule, inputs, value, args.digits))
     _emit(records, args.format)
     return 0
@@ -346,7 +354,7 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
         params = args.params
         if len(params) < 2:
             raise ValueError("need at least two Dirichlet parameters")
-        echo["params"] = ",".join(str(p) for p in params)
+        echo["params"] = ",".join(map(_text, params))
         return (
             lambda counts: dirichlet_predictive(counts, params),
             len(params),
@@ -356,16 +364,16 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
         if args.t is None or args.lam is None:
             raise ValueError("--rule carnap needs --t and --lambda")
         t, lam = args.t, args.lam
-        echo.update(t=str(t), **{"lambda": str(lam)})
+        echo.update(t=_text(t), **{"lambda": _text(lam)})
         return lambda counts: carnap_predictive(counts, lam), t, echo
     if rule == "hintikka":
         if args.t is None:
             raise ValueError("--rule hintikka needs --t")
         prior = SimplexMixturePrior.hintikka_default(args.t)
-        echo["t"] = str(args.t)
+        echo["t"] = _text(args.t)
         return lambda counts: mixture_predictive(prior, counts), args.t, echo
     # binary rules, confirmation mapped to type 0
-    echo["alpha"] = str(args.alpha)
+    echo["alpha"] = _text(args.alpha)
     mixture = from_binary_prior(NAMED_PRIORS[rule](args.alpha))
     return lambda counts: mixture_predictive(mixture, counts), 2, echo
 
@@ -374,7 +382,7 @@ def _cmd_lab_exchangeable(args: argparse.Namespace) -> int:
     rule_fn, t, echo = _lab_rule(args)
     if args.length is None:
         raise ValueError("missing --length")
-    echo["length"] = str(args.length)
+    echo["length"] = _text(args.length)
     law = law_from_predictive(rule_fn, t, args.length)
     exch = is_exchangeable(law)
     cyl = has_positive_cylinders(law)
@@ -392,7 +400,7 @@ def _cmd_lab_exchangeable(args: argparse.Namespace) -> int:
 
 def _cmd_lab_sufficientness(args: argparse.Namespace) -> int:
     rule_fn, t, echo = _lab_rule(args)
-    echo["max_n"] = str(args.max_n)
+    echo["max_n"] = _text(args.max_n)
     witness = sufficientness_witness(rule_fn, t, args.max_n)
     records = [_bool_record("sufficientness", echo, witness is None, args.digits)]
     if witness is None:
@@ -409,7 +417,7 @@ def _cmd_lab_sufficientness(args: argparse.Namespace) -> int:
                     {
                         **echo,
                         "type": str(j),
-                        "counts": ",".join(map(str, counts)),
+                        "counts": ",".join(map(_text, counts)),
                     },
                     val,
                     args.digits,
@@ -418,7 +426,7 @@ def _cmd_lab_sufficientness(args: argparse.Namespace) -> int:
         lines = [
             "sufficientness: fails",
             f"witness: predicting type {j} after counts "
-            f"{counts_a} gives {val_a}, after counts {counts_b} gives {val_b}; "
+            f"{counts_a} gives {_text(val_a)}, after counts {counts_b} gives {_text(val_b)}; "
             "both samples agree on the type's tally and the total",
         ]
     _emit(records, args.format, plain_lines=lines)
@@ -431,7 +439,7 @@ def _cmd_lab_df_check(args: argparse.Namespace) -> int:
     if args.k is None:
         raise ValueError("missing --k")
     urn = UrnComposition(args.urn)
-    echo = {"urn": ",".join(map(str, urn.colors)), "k": str(args.k)}
+    echo = {"urn": ",".join(map(_text, urn.colors)), "k": _text(args.k)}
     restricted = urn_law(urn, args.k)
     mixture = canonical_mixture(urn_law(urn, urn.total), args.k)
     distance = variation_distance(restricted, mixture)
@@ -442,8 +450,8 @@ def _cmd_lab_df_check(args: argparse.Namespace) -> int:
         _bool_record("within-bound", echo, distance <= bound, args.digits),
     ]
     lines = [
-        f"distance: {distance} ({decimal_string(distance, args.digits)})",
-        f"bound: {bound} ({decimal_string(bound, args.digits)})",
+        f"distance: {_text(distance)} ({decimal_string(distance, args.digits)})",
+        f"bound: {_text(bound)} ({decimal_string(bound, args.digits)})",
         f"within bound: {'yes' if distance <= bound else 'no'}",
     ]
     _emit(records, args.format, plain_lines=lines)
@@ -457,7 +465,7 @@ def _cmd_lab_urn(args: argparse.Namespace) -> int:
         raise ValueError("missing --k")
     urn = UrnComposition(args.colors)
     law = urn_law(urn, args.k)
-    echo = {"colors": ",".join(map(str, urn.colors)), "k": str(args.k)}
+    echo = {"colors": ",".join(map(_text, urn.colors)), "k": _text(args.k)}
     records = []
     lines = []
     if urn.t**args.k <= URN_LISTING_CAP:
@@ -467,7 +475,7 @@ def _cmd_lab_urn(args: argparse.Namespace) -> int:
                 _record("urn-sequence", {**echo, "sequence": word}, prob, args.digits)
             )
             lines.append(
-                f"P({word}) = {prob} ({decimal_string(prob, args.digits)})"
+                f"P({word}) = {_text(prob)} ({decimal_string(prob, args.digits)})"
             )
     else:
         table = law.class_table()
@@ -477,13 +485,13 @@ def _cmd_lab_urn(args: argparse.Namespace) -> int:
             records.append(
                 _record(
                     "urn-class",
-                    {**echo, "counts": ",".join(map(str, counts))},
+                    {**echo, "counts": ",".join(map(_text, counts))},
                     prob,
                     args.digits,
                 )
             )
             lines.append(
-                f"P(any sequence with counts {counts}) = {prob} "
+                f"P(any sequence with counts {counts}) = {_text(prob)} "
                 f"({decimal_string(prob, args.digits)})"
             )
     _emit(records, args.format, plain_lines=lines)

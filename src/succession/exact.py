@@ -8,6 +8,7 @@ through a careless literal.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -21,6 +22,7 @@ __all__ = [
     "beta_sequence_marginal",
     "all_success_probability",
     "int_string",
+    "parse_int",
     "decimal_string",
 ]
 
@@ -30,9 +32,17 @@ RationalLike = Union[Fraction, int, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# str() refuses ints longer than sys.get_int_max_str_digits() digits (4300
-# by default, never below 640 when set); 2000 bits is under 640 digits.
+# str() and int() refuse more than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640 when set); 2000 bits and 600 digits are both
+# under that floor.
 _DIRECT_BITS = 2000
+_DIRECT_DIGITS = 600
+# patterns stay uncompiled until a literal is too long for int(): the re
+# module caches them then, and importing the package compiles nothing
+_DIGIT_STRING = r"[+-]?[0-9]+"
+# the p/q and decimal literals Fraction() reads, without underscores or
+# exponents: sign, whole part, then a denominator or a fractional part
+_RATIONAL_STRING = r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?"
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -55,10 +65,25 @@ def as_rational(value: RationalLike) -> Fraction:
         )
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return _parse_rational(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"expected a rational number, got {type(value).__name__}")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, also for literals longer than int()'s digit cap,
+    which Fraction() shares."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        form = re.fullmatch(_RATIONAL_STRING, text)
+        if form is None:
+            raise
+    sign, whole, den, frac = form.groups()
+    if frac:
+        return Fraction(parse_int(sign + whole + frac), 10 ** len(frac))
+    return Fraction(parse_int(sign + whole), parse_int(den) if den else 1)
 
 
 def rising(start: Fraction, count: int) -> Fraction:
@@ -175,6 +200,31 @@ def int_string(value: int) -> str:
     half = value.bit_length() * 3 // 20  # about half the digit count
     high, low = divmod(value, 10**half)
     return int_string(high) + int_string(low).zfill(half)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for decimal strings of any length.
+
+    Strings of ASCII digits, with an optional sign and surrounding
+    whitespace, that ``int()`` refuses for their length alone are split
+    in halves that convert separately, the inverse of :func:`int_string`.
+    Anything else ``int()`` refuses raises its ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if re.fullmatch(_DIGIT_STRING, digits) is None:
+            raise
+    sign = -1 if digits[0] == "-" else 1
+    return sign * _parse_digits(digits.lstrip("+-"))
+
+
+def _parse_digits(digits: str) -> int:
+    if len(digits) <= _DIRECT_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _parse_digits(digits[:-half]) * 10**half + _parse_digits(digits[-half:])
 
 
 def decimal_string(value: Fraction, digits: int) -> str:

@@ -7,13 +7,14 @@ law to a mixture of iid laws) are checked by inspection rather than
 simulation. Tables are capped; the lab is an oracle, not a production
 path.
 
-Urn laws and canonical mixtures are constant on permutation classes of
-sequences, and the lab stores them by class (count vector -> per-sequence
-probability). The dense table the public contract promises materializes
-lazily; pairwise operations use the class form when both operands carry
-it, which is what makes exhaustive sweeps over urns affordable. Laws built
-from a predictive rule are always dense, exchangeable rule or not: the
-chain rule fills one entry per sequence.
+Urn laws, canonical mixtures and laws built from an exchangeable
+predictive rule are constant on permutation classes of sequences, and the
+lab stores them by class (count vector -> per-sequence probability). The
+dense table the public contract promises materializes lazily; pairwise
+operations use the class form when both operands carry it, which is what
+makes exhaustive sweeps over urns affordable. A predictive rule is walked
+on the count lattice first; only a rule whose law turns out not to be
+exchangeable gets the dense chain-rule table, one entry per sequence.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     SampleTooLarge,
     TableTooLarge,
 )
-from .exact import ONE, ZERO, as_rational, falling
+from .exact import ONE, ZERO, as_rational, falling, int_string
 
 __all__ = [
     "SequenceLaw",
@@ -75,10 +76,12 @@ def _check_shape(t: int, length: int) -> None:
         raise ValueError("need an alphabet of at least two symbols")
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ValueError("length must be at least 1")
-    if t**length > MAX_TABLE_SIZE:
+    # t >= 2, so a length past the cap's bit length exceeds it; testing
+    # that first keeps t**length from being computed for huge lengths
+    if length >= MAX_TABLE_SIZE.bit_length() or t**length > MAX_TABLE_SIZE:
         raise TableTooLarge(
-            f"a table of {t}^{length} sequences exceeds the cap of "
-            f"{MAX_TABLE_SIZE} entries"
+            f"a table of {int_string(t)}^{int_string(length)} sequences "
+            f"exceeds the cap of {MAX_TABLE_SIZE} entries"
         )
 
 
@@ -257,6 +260,36 @@ def _validated_vector(
     return vec
 
 
+def _class_walk(
+    predictive: Callable[[tuple[int, ...]], tuple[Fraction, ...]],
+    t: int,
+    length: int,
+) -> dict[tuple[int, ...], Fraction] | None:
+    """Per-sequence probability of each count vector of ``length`` draws,
+    built one level of the count lattice at a time; None as soon as two
+    sequences with equal counts get different probabilities.
+
+    q(c + e_i) is q(c) * p_c(i) from every predecessor c. When all
+    predecessors agree at every level, each sequence's chain-rule product
+    equals q of its count vector, by induction on the length. When two
+    disagree, a sequence through one and a sequence through the other
+    share a count vector but not a probability. The rule is consulted only
+    where q(c) > 0.
+    """
+    level: dict[tuple[int, ...], Fraction] = {(0,) * t: ONE}
+    for _ in range(length):
+        children: dict[tuple[int, ...], Fraction] = {}
+        for counts, q in level.items():
+            vec = predictive(counts) if q else None
+            for i in range(t):
+                child = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                value = q * vec[i] if vec is not None else ZERO
+                if children.setdefault(child, value) != value:
+                    return None
+        level = children
+    return level
+
+
 def law_from_predictive(
     rule: PredictiveRule, t: int, length: int
 ) -> SequenceLaw:
@@ -265,9 +298,17 @@ def law_from_predictive(
     actually drawn given the counts so far.
 
     The rule is any callable from a count vector (tuple of t tallies) to a
-    probability vector over the t symbols; it is consulted once per
-    distinct reachable count vector. Subtrees below a zero-probability
-    prefix are filled with zeros without consulting the rule.
+    probability vector over the t symbols; it is consulted at most once
+    per count vector, and never below a zero-probability prefix.
+
+    The law is first built on the count lattice. When every sequence with
+    the same count vector gets the same probability (the rule's
+    predictions commute: p_c(i) p_{c+e_i}(j) = p_c(j) p_{c+e_j}(i) at
+    every c of positive probability), the law is exchangeable and is
+    stored per class, one entry per count vector. At the first count vector where two
+    predecessors disagree, the law is not exchangeable and the construction
+    falls back to the dense table, one entry per sequence, reusing the
+    predictions already made.
     """
     _check_shape(t, length)
     name = getattr(rule, "__name__", "rule")
@@ -280,6 +321,9 @@ def law_from_predictive(
             cache[counts] = vec
         return vec
 
+    classes = _class_walk(predictive, t, length)
+    if classes is not None:
+        return SequenceLaw.from_class_probabilities(t, length, classes)
     out: list[Fraction] = []
     counts = [0] * t
 
@@ -409,6 +453,7 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
         raise SampleTooLarge(
             f"asked for {k} draws from an urn of {urn.total} balls"
         )
+    _check_shape(urn.t, k)
     denom = falling(urn.total, k)
     table: dict[tuple[int, ...], Fraction] = {}
     for counts in _compositions(k, urn.t):

@@ -5,7 +5,8 @@ Dirichlet normalizing constants in closed factorial form, sequence
 marginals as ratios of them, and predictive probabilities as ratios of
 successive marginals (extend the record by one observation, divide).
 
-Decimal renderings come from the standard ``decimal`` module instead.
+Decimal renderings come from the standard ``decimal`` module instead, and
+laws built from a predictive rule from a plain walk over every sequence.
 None of this shares code with the engine, which evaluates the same
 quantities through telescoped rising-factorial products and
 posterior-component averaging. Agreement between the two routes is the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from succession import BinaryPrior, SimplexMixturePrior
@@ -126,3 +128,36 @@ def parse_int(text: str) -> int:
         piece = body[i : i + 500]
         out = out * 10 ** len(piece) + int(piece)
     return sign * out
+
+
+def chain_rule_table(rule, t: int, length: int) -> tuple[Fraction, ...]:
+    """Dense law of ``length`` draws from a predictive rule, one entry per
+    sequence in lexicographic order: the product over positions of the
+    rule's prediction for the symbol drawn given the counts before it.
+    The rule is not consulted after a prefix reaches probability 0."""
+    predictions: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    table = []
+    for seq in product(range(t), repeat=length):
+        counts = [0] * t
+        prob = Fraction(1)
+        for s in seq:
+            key = tuple(counts)
+            if key not in predictions:
+                predictions[key] = tuple(Fraction(p) for p in rule(key))
+            prob *= predictions[key][s]
+            if prob == 0:
+                break
+            counts[s] += 1
+        table.append(prob)
+    return tuple(table)
+
+
+def table_is_exchangeable(table: tuple[Fraction, ...], t: int, length: int) -> bool:
+    """Whether sequences with equal counts of each symbol get equal
+    probability in a dense table laid out as ``chain_rule_table``'s."""
+    by_counts: dict[tuple[int, ...], Fraction] = {}
+    for seq, prob in zip(product(range(t), repeat=length), table):
+        key = tuple(seq.count(s) for s in range(t))
+        if by_counts.setdefault(key, prob) != prob:
+            return False
+    return True

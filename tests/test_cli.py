@@ -342,6 +342,13 @@ class TestExitCodes:
         assert code == 3
         assert "ZeroEvidenceProbability" in err
 
+    def test_oversized_urn_exits_4_before_the_work(self, capsys):
+        code, out, err = run(
+            capsys, "lab", "df-check", "--urn", "3000,3000", "--k", "1"
+        )
+        assert code == 4
+        assert "TableTooLarge" in err
+
     def test_oversized_table_exits_4(self, capsys):
         code, out, err = run(
             capsys,
@@ -391,3 +398,27 @@ class TestLongNumbers:
         value = F(parse_int(rec["exact"]["num"]), parse_int(rec["exact"]["den"]))
         prior = BinaryPrior.laplace(F(1, 3), F(1, 7))
         assert value == predict_block(prior, Evidence(0), 4000)
+
+
+class TestLongInputs:
+    """Input longer than CPython's 4300-digit cap on str-to-int."""
+
+    def test_five_thousand_digit_sample(self, capsys):
+        n = 10**5_000 - 1
+        rec = run_json(capsys, "predict", "--rule", "haldane", "--n", "9" * 5_000)
+        validate(rec, RECORD_SCHEMA)
+        assert rec["inputs"]["n"] == "9" * 5_000
+        value = F(parse_int(rec["exact"]["num"]), parse_int(rec["exact"]["den"]))
+        assert value == 1 - F(1, (n + 2) ** 2)
+
+    def test_long_rational_parameter(self, capsys):
+        alpha = F(1, parse_int("7" * 4_400))
+        rec = run_json(
+            capsys, "predict", "--rule", "laplace", "--alpha", "1/" + "7" * 4_400,
+            "--n", "3",
+        )
+        validate(rec, RECORD_SCHEMA)
+        assert rec["inputs"]["alpha"] == "1/" + "7" * 4_400
+        value = F(parse_int(rec["exact"]["num"]), parse_int(rec["exact"]["den"]))
+        # a pure Beta(alpha, 1) prior predicts (alpha + n) / (alpha + 1 + n)
+        assert value == (alpha + 3) / (alpha + 4)

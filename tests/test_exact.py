@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from succession import exact
 from succession.exact import (
     all_success_probability,
     as_rational,
@@ -182,3 +183,41 @@ class TestIntString:
     def test_powers_of_ten_have_exact_width(self):
         assert int_string(10**5_000) == "1" + "0" * 5_000
         assert int_string(10**5_000 - 1) == "9" * 5_000
+
+
+class TestLongLiterals:
+    """Input longer than CPython's 4300-digit cap on str-to-int."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -12345, 2**2000, 3**20_000, -(7**9_000), 10**5_000, 10**5_000 - 1],
+        ids=["0", "-12345", "2^2000", "3^20000", "-7^9000", "10^5000", "10^5000-1"],
+    )
+    def test_parse_int_inverts_int_string(self, value):
+        text = int_string(value)
+        assert exact.parse_int(text) == value
+        assert exact.parse_int(f" {text}\n") == value
+        if value >= 0:
+            assert exact.parse_int("+" + text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "12x", "9" * 5_000 + "x", "--" + "9" * 5_000, "1.5", "\u0663" * 5_000],
+        ids=["empty", "12x", "long-x", "double-sign", "decimal", "arabic-indic"],
+    )
+    def test_parse_int_keeps_int_errors(self, text):
+        with pytest.raises(ValueError):
+            exact.parse_int(text)
+
+    def test_long_rational_literals(self):
+        sevens = "7" * 4_400
+        value = parse_int(sevens)
+        assert as_rational("1/" + sevens) == F(1, value)
+        assert as_rational(f" -{sevens}/14 ") == F(-value, 14)
+        assert as_rational(sevens) == value
+        assert as_rational(f"{sevens}.{sevens}") == value + F(value, 10**4_400)
+        assert as_rational(f"-.{sevens}") == -F(value, 10**4_400)
+        assert as_rational(f"{sevens}.") == value
+        for bad in (f"{sevens}/0", f"1/{sevens}x", f"{sevens}/{sevens}.5", f"/{sevens}"):
+            with pytest.raises(ValueError):
+                as_rational(bad)

@@ -1,9 +1,13 @@
+import argparse
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracles import chain_rule_table, table_is_exchangeable
 
 from succession import (
     BinaryPrior,
@@ -30,6 +34,7 @@ from succession import (
     urn_law,
     variation_distance,
 )
+from succession.cli import LAB_RULES, _lab_rule
 
 
 def laplace_rule(counts):
@@ -160,6 +165,45 @@ class TestLawFromPredictive:
         assert law.probability((0, 0, 0)) == 1
         assert set(calls) == {(0, 0), (1, 0), (2, 0)}
 
+        # t = 3: half on type 0 forever, half on type 1 forever; type 2 and
+        # every mixed count vector have probability 0
+        calls.clear()
+
+        def two_point(counts):
+            calls.append(counts)
+            if counts[0]:
+                return (F(1), F(0), F(0))
+            if counts[1]:
+                return (F(0), F(1), F(0))
+            return (F(1, 2), F(1, 2), F(0))
+
+        law = law_from_predictive(two_point, 3, 3)
+        assert law.class_table() is not None
+        assert law.probability((0, 0, 0)) == law.probability((1, 1, 1)) == F(1, 2)
+        assert sorted(calls) == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (2, 0, 0)]
+        assert law.probabilities == chain_rule_table(two_point, 3, 3)
+
+    @pytest.mark.parametrize("exchangeable", [True, False])
+    def test_each_count_vector_consulted_once(self, exchangeable):
+        calls = []
+
+        def rule(counts):
+            calls.append(counts)
+            if exchangeable:
+                return laplace_rule(counts)
+            # seeing type 0 makes it likelier; P(01) != P(10)
+            den = counts[0] + 3
+            return (F(counts[0] + 1, den), F(1, den), F(1, den))
+
+        law = law_from_predictive(rule, 3, 4)
+        assert (law.class_table() is not None) == exchangeable
+        assert is_exchangeable(law) == exchangeable
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {
+            c for n in range(4) for c in itertools.product(range(n + 1), repeat=3)
+            if sum(c) == n
+        }
+
     def test_invalid_rules_rejected(self):
         with pytest.raises(InvalidRule):
             law_from_predictive(lambda c: (F(1, 2),), 2, 2)
@@ -173,6 +217,115 @@ class TestLawFromPredictive:
     def test_table_cap(self):
         with pytest.raises(TableTooLarge):
             law_from_predictive(laplace_rule, 2, 21)
+
+    def test_huge_length_refused_without_computing_the_table_size(self):
+        # 2**(10**12) would need 125 GB just to hold the size
+        start = time.perf_counter()
+        with pytest.raises(TableTooLarge):
+            law_from_predictive(laplace_rule, 2, 10**12)
+        assert time.perf_counter() - start < 0.05
+
+
+def _cli_rule(name, t):
+    """The predictive rule ``succession lab`` builds for a rule name."""
+    args = argparse.Namespace(
+        rule=name,
+        params=(F(1), F(3, 2), F(2))[:t],
+        t=t,
+        lam=F(3, 2),
+        alpha=F(2),
+    )
+    rule, rule_t, _ = _lab_rule(args)
+    assert rule_t == t
+    return rule
+
+
+def _cli_rule_cases():
+    for name in LAB_RULES:
+        for t in (2, 3):
+            if t == 3 and name not in ("dirichlet", "carnap", "hintikka"):
+                continue  # the named binary rules are two-type
+            for length in ((1, 4, 9) if t == 2 else (1, 3, 6)):
+                yield name, t, length
+
+
+def _polya_rule(weights, step):
+    # draw type i with chance (w_i + step * c_i) / (W + step * n)
+    total = sum(weights)
+
+    def rule(counts):
+        den = total + step * sum(counts)
+        return tuple((w + step * c) / den for w, c in zip(weights, counts))
+
+    return rule
+
+
+def _table_rule(rng, t):
+    # an arbitrary rational prediction per count vector, fixed on first use
+    table = {}
+
+    def rule(counts):
+        if counts not in table:
+            weights = [rng.randint(0, 3) for _ in range(t)]
+            weights[rng.randrange(t)] += 1
+            table[counts] = tuple(F(w, sum(weights)) for w in weights)
+        return table[counts]
+
+    return rule
+
+
+class TestClassPath:
+    """Laws built from a predictive rule against the dense chain-rule
+    reference: class-stored exactly when the reference is exchangeable."""
+
+    @pytest.mark.parametrize("name,t,length", list(_cli_rule_cases()))
+    def test_cli_rules_are_stored_per_class(self, name, t, length):
+        rule = _cli_rule(name, t)
+        law = law_from_predictive(rule, t, length)
+        assert law.class_table() is not None
+        assert law.probabilities == chain_rule_table(rule, t, length)
+        assert is_exchangeable(law)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.integers(2, 3),
+        length=st.integers(1, 5),
+        weights=st.lists(st.fractions(0, 4, max_denominator=3), min_size=3, max_size=3),
+        step=st.sampled_from([F(1), F(2), F(1, 2)]),
+    )
+    def test_polya_rules_are_exchangeable(self, t, length, weights, step):
+        weights = weights[:t]
+        if sum(weights) == 0:
+            weights[0] = F(1)
+        rule = _polya_rule(weights, step)
+        law = law_from_predictive(rule, t, length)
+        assert law.class_table() is not None
+        assert is_exchangeable(law)
+        assert law.probabilities == chain_rule_table(rule, t, length)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.integers(2, 3),
+        length=st.integers(1, 5),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_arbitrary_rules_match_the_reference(self, t, length, rng):
+        rule = _table_rule(rng, t)
+        law = law_from_predictive(rule, t, length)
+        reference = chain_rule_table(rule, t, length)
+        assert law.probabilities == reference
+        exchangeable = table_is_exchangeable(reference, t, length)
+        assert is_exchangeable(law) == exchangeable
+        assert (law.class_table() is not None) == exchangeable
+
+    def test_length_twenty_in_under_a_second(self):
+        start = time.perf_counter()
+        law = law_from_predictive(laplace_rule, 2, 20)
+        answers = is_exchangeable(law), has_positive_cylinders(law)
+        elapsed = time.perf_counter() - start
+        assert answers == (True, True)
+        assert law.probability((0,) * 7 + (1,) * 13) == F(1, 21 * math.comb(20, 7))
+        assert elapsed < 1.0
 
 
 class TestExchangeability:
@@ -228,6 +381,12 @@ class TestUrns:
             urn_law(UrnComposition((1, 1)), 0)
         with pytest.raises(SampleTooLarge):
             urn_law(UrnComposition((1, 1)), 3)
+
+    def test_table_cap_before_the_work(self):
+        start = time.perf_counter()
+        with pytest.raises(TableTooLarge):
+            urn_law(UrnComposition((3000, 3000)), 3000)
+        assert time.perf_counter() - start < 0.05
 
     def test_five_five_frozen(self):
         law = urn_law(UrnComposition((5, 5)), 3)
