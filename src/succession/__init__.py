@@ -18,7 +18,6 @@ The ``succession`` command line fronts the same machinery.
 from .binary import (
     BinaryPrior,
     Evidence,
-    PredictionQuery,
     bayes_factor_ug,
     exception_probability,
     marginal_likelihood,
@@ -86,7 +85,6 @@ __all__ = [
     # binary succession
     "Evidence",
     "BinaryPrior",
-    "PredictionQuery",
     "marginal_likelihood",
     "posterior_ug",
     "bayes_factor_ug",

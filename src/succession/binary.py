@@ -32,7 +32,6 @@ from .simplex import _binary_faces, _posterior_weights, _weighted_marginals
 __all__ = [
     "Evidence",
     "BinaryPrior",
-    "PredictionQuery",
     "marginal_likelihood",
     "posterior_ug",
     "bayes_factor_ug",
@@ -62,20 +61,6 @@ class Evidence:
     @property
     def total(self) -> int:
         return self.confirm + self.disconfirm
-
-
-@dataclass(frozen=True)
-class PredictionQuery:
-    """How far ahead to look: the next ``horizon`` instances, all assumed
-    confirmatory."""
-
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool):
-            raise ValueError("horizon must be an integer")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -200,9 +185,7 @@ def predict_next(prior: BinaryPrior, ev: Evidence) -> Fraction:
     return out
 
 
-def predict_block(
-    prior: BinaryPrior, ev: Evidence, query: PredictionQuery | int
-) -> Fraction:
+def predict_block(prior: BinaryPrior, ev: Evidence, horizon: int) -> Fraction:
     """Probability that the next ``horizon`` instances all confirm.
 
     Under the continuous component this is a ratio of rising factorials
@@ -210,15 +193,17 @@ def predict_block(
     contribute 1 (theta=1) and 0 (theta=0). Equal, term by term, to the
     product of predict_next over the lengthening record.
     """
-    if isinstance(query, int):
-        query = PredictionQuery(query)
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise ValueError("horizon must be an integer")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     w1, _, wc = _posterior(prior, ev)
     out = w1
     if wc != 0:
         out += wc * all_success_probability(
             prior.alpha + ev.confirm,
             prior.beta + ev.disconfirm,
-            query.horizon,
+            horizon,
         )
     return out
 

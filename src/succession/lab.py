@@ -383,11 +383,23 @@ def sufficientness_witness(
     Returns None when the rule passes, otherwise a witness
     (j, counts_a, counts_b, prediction_a, prediction_b) with the two count
     vectors agreeing in type-j tally and total yet predicting differently.
+    Raises TableTooLarge, before any rule call, past MAX_TABLE_SIZE vectors.
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 2:
         raise ValueError("need an alphabet of at least two symbols")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
+    # the search visits C(max_n + t, t) vectors: build it a factor at a time
+    low, high = sorted((t, max_n))
+    vectors = 1
+    for i in range(1, low + 1):
+        vectors = vectors * (high + i) // i
+        if vectors > MAX_TABLE_SIZE:
+            raise TableTooLarge(
+                f"a sufficientness search over {int_string(t)} types and up to "
+                f"{int_string(max_n)} observations visits more than "
+                f"{MAX_TABLE_SIZE} count vectors"
+            )
     name = getattr(rule, "__name__", "rule")
     seen: dict[
         tuple[int, int, int], tuple[tuple[int, ...], Fraction]

@@ -7,7 +7,6 @@ from succession import (
     BinaryPrior,
     Evidence,
     NoContinuousComponent,
-    PredictionQuery,
     UGFalsified,
     ZeroEvidenceProbability,
     bayes_factor_ug,
@@ -96,8 +95,12 @@ class TestTypes:
         )
 
     def test_query_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PredictionQuery(0)
+        with pytest.raises(ValueError, match="at least 1"):
+            predict_block(LAPLACE, Evidence(1), 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            predict_block(LAPLACE, Evidence(1), -1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            predict_block(LAPLACE, Evidence(1), True)
 
 
 class TestMarginalLikelihood:
@@ -262,9 +265,6 @@ class TestPredictBlock:
     def test_block_against_half_remaining_is_one_half(self):
         for n in range(0, 50):
             assert predict_block(LAPLACE, Evidence(n), n + 1) == HALF
-
-    def test_accepts_query_object(self):
-        assert predict_block(LAPLACE, Evidence(1), PredictionQuery(2)) == F(1, 2)
 
     def test_matches_oracle_ratio(self):
         for prior in ORACLE_GRID[:18]:

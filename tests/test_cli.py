@@ -3,13 +3,20 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 from jsonschema import validate
 
 from oracles import decimal_reference, parse_int
-from succession import BinaryPrior, Evidence, predict_block
+from succession import (
+    BinaryPrior,
+    Evidence,
+    TableTooLarge,
+    predict_block,
+    sufficientness_witness,
+)
 from succession.cli import main
 
 RECORD_SCHEMA = {
@@ -295,6 +302,14 @@ class TestConfigFile:
         assert code == 2
         assert "cannot read config" in err
 
+    def test_lab_command_takes_config(self, capsys, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("colors=2,2\nk=2\n")
+        records = run_json(capsys, "lab", "urn", "--config", str(cfg))
+        probs = {r["inputs"]["sequence"]: exact(r) for r in records}
+        assert probs == {"00": F(1, 6), "01": F(1, 3), "10": F(1, 3), "11": F(1, 6)}
+        assert records[0]["inputs"]["colors"] == "2,2"
+
     def test_malformed_line_fails(self, capsys, tmp_path):
         cfg = tmp_path / "defaults.cfg"
         cfg.write_text("just some words\n")
@@ -328,6 +343,72 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (("predict", "--n", "3"), "error: ValueError: missing --rule"),
+            (("predict", "--rule", "laplace"), "error: ValueError: missing --n"),
+            (("compare",), "error: ValueError: missing --n-list"),
+            (("lab", "exchangeable", "--rule", "laplace"),
+             "error: ValueError: missing --length"),
+            (("lab", "df-check", "--k", "2"), "error: ValueError: missing --urn"),
+            (("lab", "df-check", "--urn", "2,2"), "error: ValueError: missing --k"),
+            (("lab", "urn", "--k", "2"), "error: ValueError: missing --colors"),
+            (("lab", "urn", "--colors", "2,2"), "error: ValueError: missing --k"),
+            (("lab", "sufficientness"), "error: ValueError: missing --rule"),
+            (("predict", "--rule", "haldane", "--n", "3", "--mass0", "1/2"),
+             "error: ValueError: --mass1/--mass0/--mass-cont require --rule general"),
+            (("predict", "--rule", "jeffreys-split", "--n", "3", "--beta", "2"),
+             "error: ValueError: rule 'jeffreys-split' is defined with beta = 1"),
+            (("predict", "--rule", "general", "--n", "3", "--mass1", "1/2"),
+             "error: ValueError: --rule general needs --mass1, --mass0, and "
+             "--mass-cont"),
+            (("predict", "--rule", "general", "--n", "3", "--mass1", "1/2",
+              "--mass0", "0", "--mass-cont", "1/2", "--prior-odds", "2"),
+             "error: ValueError: --prior-odds cannot be combined with explicit "
+             "masses"),
+            (("predict", "--rule", "laplace", "--n", "3", "--prior-odds", "2"),
+             "error: ValueError: --prior-odds is meaningless for laplace (no mass "
+             "on the no-exceptions hypothesis)"),
+            (("lab", "exchangeable", "--rule", "dirichlet", "--length", "2"),
+             "error: ValueError: --rule dirichlet needs --params"),
+            (("lab", "sufficientness", "--rule", "carnap", "--t", "3"),
+             "error: ValueError: --rule carnap needs --t and --lambda"),
+            (("lab", "exchangeable", "--rule", "hintikka", "--length", "2"),
+             "error: ValueError: --rule hintikka needs --t"),
+            (("lab", "exchangeable", "--rule", "dirichlet", "--params", "2",
+              "--length", "2"),
+             "error: ValueError: need at least two Dirichlet parameters"),
+            (("compare", "--n-list", "1", "--rules", "laplace,general"),
+             "succession compare: error: argument --rules: unknown rule "
+             "'general'; choose from laplace, haldane, jeffreys-split"),
+            (("predict", "--rule", "laplace", "--n", "-4"),
+             "succession predict: error: argument --n: must be nonnegative"),
+            (("predict", "--rule", "laplace", "--n", "3", "--block", "0"),
+             "succession predict: error: argument --block: must be at least 1"),
+            (("predict", "--rule", "laplace", "--n", "x"),
+             "succession predict: error: argument --n: not an integer: 'x'"),
+            (("predict", "--rule", "laplace", "--n", "3", "--alpha", "0"),
+             "succession predict: error: argument --alpha: must be positive"),
+            (("predict", "--rule", "general", "--n", "3", "--mass1", "y"),
+             "succession predict: error: argument --mass1: not a rational: 'y'"),
+            (("predict", "--rule", "laplace", "--n", "3", "--digits", "0"),
+             "succession predict: error: argument --digits: digits must be in "
+             "1..10000"),
+            (("lab", "urn", "--colors", "1,-1", "--k", "1"),
+             "succession lab urn: error: argument --colors: expected "
+             "comma-separated nonnegative integers, got '1,-1'"),
+            (("lab", "exchangeable", "--params", "1,0"),
+             "succession lab exchangeable: error: argument --params: expected "
+             "comma-separated positive rationals, got '1,0'"),
+        ],
+    )
+    def test_usage_error_messages(self, capsys, argv, last_line):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == last_line
+
     def test_falsified_generalization_exits_3(self, capsys):
         code, out, err = run(capsys, "posterior", "--n", "5", "--m", "1")
         assert code == 3
@@ -348,6 +429,26 @@ class TestExitCodes:
         )
         assert code == 4
         assert "TableTooLarge" in err
+
+    @pytest.mark.parametrize("t, max_n", [("200", "6"), ("2", "100000000")])
+    def test_oversized_sufficientness_search_exits_4(self, capsys, t, max_n):
+        code, out, err = run(
+            capsys,
+            "lab", "sufficientness", "--rule", "carnap", "--lambda", "1",
+            "--t", t, "--max-n", max_n,
+        )
+        assert code == 4
+        assert "TableTooLarge" in err
+
+    @pytest.mark.parametrize("t, max_n", [(200, 6), (2, 10**8), (10**100, 1)])
+    def test_sufficientness_search_refused_before_any_rule_call(self, t, max_n):
+        def never(counts):
+            raise AssertionError("the rule was called")
+
+        start = time.perf_counter()
+        with pytest.raises(TableTooLarge, match="count vectors"):
+            sufficientness_witness(never, t, max_n)
+        assert time.perf_counter() - start < 0.05
 
     def test_oversized_table_exits_4(self, capsys):
         code, out, err = run(
