@@ -7,14 +7,16 @@ law to a mixture of iid laws) are checked by inspection rather than
 simulation. Tables are capped; the lab is an oracle, not a production
 path.
 
-Urn laws, canonical mixtures and laws built from an exchangeable
-predictive rule are constant on permutation classes of sequences, and the
-lab stores them by class (count vector -> per-sequence probability). The
-dense table the public contract promises materializes lazily; pairwise
-operations use the class form when both operands carry it, which is what
-makes exhaustive sweeps over urns affordable. A predictive rule is walked
-on the count lattice first; only a rule whose law turns out not to be
-exchangeable gets the dense chain-rule table, one entry per sequence.
+A law keeps a class table (count vector -> per-sequence probability)
+exactly when it is exchangeable, whichever constructor built it, so
+exchangeability is read off the storage rather than rescanned. Urn laws,
+canonical mixtures and laws from an exchangeable predictive rule are built
+per class and their dense table materializes lazily; a dense table is
+classified in the pass that validates it. Pairwise operations use the class
+form when both operands carry it, which is what makes exhaustive sweeps over
+urns affordable. A predictive rule is walked on the count lattice first;
+only a rule whose law turns out not to be exchangeable gets the dense
+chain-rule table, one entry per sequence.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InvalidRule,
-    SampleTooLarge,
-    TableTooLarge,
-)
+from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
 from .exact import ONE, ZERO, as_rational, falling, int_string
 
 __all__ = [
@@ -54,13 +51,48 @@ MAX_TABLE_SIZE = 2**20
 PredictiveRule = Callable[[tuple[int, ...]], Sequence[Fraction]]
 
 
+def _whole(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # lexicographic order by an odometer: the next vector moves one draw from
+    # the last nonzero tally to the tally before it, and the rest to the end
+    counts = [0] * parts
+    counts[-1] = total
+    while True:
+        yield tuple(counts)
+        r = parts - 1
+        while r and not counts[r]:
+            r -= 1
+        if not r:
+            return
+        rest = counts[r] - 1
+        counts[r] = 0
+        counts[r - 1] += 1
+        counts[-1] = rest
+
+
+def _lex_counts(t: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The count vector of each sequence, in table order: an odometer over
+    the sequence, last position fastest, that moves one tally per digit."""
+    seq = [0] * length
+    counts = [length] + [0] * (t - 1)
+    last = t - 1
+    while True:
+        yield tuple(counts)
+        i = length - 1
+        while i >= 0 and seq[i] == last:
+            seq[i] = 0
+            counts[last] -= 1
+            counts[0] += 1
+            i -= 1
+        if i < 0:
+            return
+        s = seq[i]
+        seq[i] = s + 1
+        counts[s] -= 1
+        counts[s + 1] += 1
 
 
 def _multiplicity(counts: tuple[int, ...]) -> int:
@@ -72,9 +104,9 @@ def _multiplicity(counts: tuple[int, ...]) -> int:
 
 
 def _check_shape(t: int, length: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 2:
+    if not _whole(t) or t < 2:
         raise ValueError("need an alphabet of at least two symbols")
-    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+    if not _whole(length) or length < 1:
         raise ValueError("length must be at least 1")
     # t >= 2, so a length past the cap's bit length exceeds it; testing
     # that first keeps t**length from being computed for huge lengths
@@ -94,7 +126,8 @@ class SequenceLaw:
     significant). Laws known to be constant on permutation classes can be
     built from a per-class table instead via
     :meth:`from_class_probabilities`; they behave identically and the
-    dense view is computed on first use.
+    dense view is computed on first use. Either way a law keeps a class
+    table exactly when it is exchangeable.
     """
 
     __slots__ = ("t", "length", "_dense", "_classes")
@@ -110,10 +143,15 @@ class SequenceLaw:
             raise ValueError("probabilities must be nonnegative")
         if sum(dense, ZERO) != 1:
             raise ValueError("probabilities must sum to exactly 1")
+        classes: dict[tuple[int, ...], Fraction] | None = {}
+        for counts, p in zip(_lex_counts(t, length), dense):
+            if classes.setdefault(counts, p) != p:
+                classes = None
+                break
         self.t = t
         self.length = length
         self._dense: tuple[Fraction, ...] | None = dense
-        self._classes: dict[tuple[int, ...], Fraction] | None = None
+        self._classes = classes
 
     @classmethod
     def from_class_probabilities(
@@ -157,9 +195,7 @@ class SequenceLaw:
     def probability(self, sequence: Sequence[int]) -> Fraction:
         """Probability of one full sequence."""
         seq = tuple(sequence)
-        if len(seq) != self.length or any(
-            not 0 <= s < self.t for s in seq
-        ):
+        if len(seq) != self.length or any(not 0 <= s < self.t for s in seq):
             raise DimensionMismatch(
                 f"expected a sequence of {self.length} symbols in 0..{self.t - 1}"
             )
@@ -179,22 +215,8 @@ class SequenceLaw:
         """Dense table in lexicographic sequence order."""
         if self._dense is None:
             assert self._classes is not None
-            classes = self._classes
-            out: list[Fraction] = []
-            counts = [0] * self.t
-            append = out.append
-
-            def walk(depth: int) -> None:
-                if depth == self.length:
-                    append(classes[tuple(counts)])
-                    return
-                for s in range(self.t):
-                    counts[s] += 1
-                    walk(depth + 1)
-                    counts[s] -= 1
-
-            walk(0)
-            self._dense = tuple(out)
+            lookup = self._classes.__getitem__
+            self._dense = tuple(map(lookup, _lex_counts(self.t, self.length)))
         return self._dense
 
     def sequences(self) -> Iterator[tuple[int, ...]]:
@@ -203,19 +225,11 @@ class SequenceLaw:
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """(sequence, probability) pairs in table order."""
-        if self._classes is not None:
-            classes = self._classes
-            for seq in self.sequences():
-                counts = [0] * self.t
-                for s in seq:
-                    counts[s] += 1
-                yield seq, classes[tuple(counts)]
-        else:
-            yield from zip(self.sequences(), self.probabilities)
+        return zip(self.sequences(), self.probabilities)
 
     def class_table(self) -> dict[tuple[int, ...], Fraction] | None:
-        """Count vector -> per-sequence probability, when the law is stored
-        by permutation class; None for laws built dense."""
+        """Count vector -> per-sequence probability; None exactly when the
+        law is not exchangeable."""
         if self._classes is None:
             return None
         return dict(self._classes)
@@ -227,14 +241,9 @@ class SequenceLaw:
             return {
                 c: p * _multiplicity(c) for c, p in self._classes.items()
             }
-        out: dict[tuple[int, ...], Fraction] = {
-            c: ZERO for c in _compositions(self.length, self.t)
-        }
-        for seq, p in self.items():
-            counts = [0] * self.t
-            for s in seq:
-                counts[s] += 1
-            out[tuple(counts)] += p
+        out = dict.fromkeys(_compositions(self.length, self.t), ZERO)
+        for counts, p in zip(_lex_counts(self.t, self.length), self.probabilities):
+            out[counts] += p
         return out
 
     def __repr__(self) -> str:
@@ -290,9 +299,7 @@ def _class_walk(
     return level
 
 
-def law_from_predictive(
-    rule: PredictiveRule, t: int, length: int
-) -> SequenceLaw:
+def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLaw:
     """Chain-rule construction: the probability of a sequence is the
     product, over its positions, of the rule's prediction for the symbol
     actually drawn given the counts so far.
@@ -324,50 +331,29 @@ def law_from_predictive(
     classes = _class_walk(predictive, t, length)
     if classes is not None:
         return SequenceLaw.from_class_probabilities(t, length, classes)
-    out: list[Fraction] = []
-    counts = [0] * t
-
-    def walk(depth: int, prob: Fraction) -> None:
-        if depth == length:
-            out.append(prob)
-            return
-        if prob == 0:
-            out.extend([ZERO] * t ** (length - depth))
-            return
-        vec = predictive(tuple(counts))
-        for s in range(t):
-            counts[s] += 1
-            walk(depth + 1, prob * vec[s])
-            counts[s] -= 1
-
-    walk(0, ONE)
-    return SequenceLaw(t, length, out)
+    # the chain rule over every prefix, one length at a time in table order
+    zeros = (ZERO,) * t
+    level = [ONE]
+    for depth in range(length):
+        level = [
+            p * q
+            for p, counts in zip(level, _lex_counts(t, depth))
+            for q in (predictive(counts) if p else zeros)
+        ]
+    return SequenceLaw(t, length, level)
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:
-    """True iff sequences with equal count vectors get equal probability.
-
-    Class-stored laws satisfy this by construction; dense laws are checked
-    sequence by sequence.
-    """
-    if law.class_table() is not None:
-        return True
-    seen: dict[tuple[int, ...], Fraction] = {}
-    for seq, p in law.items():
-        counts = [0] * law.t
-        for s in seq:
-            counts[s] += 1
-        key = tuple(counts)
-        prev = seen.setdefault(key, p)
-        if prev != p:
-            return False
-    return True
+    """True iff sequences with equal count vectors get equal probability,
+    which is exactly when the law keeps a class table: the dense
+    constructor classifies its table as it validates it."""
+    return law._classes is not None
 
 
 def has_positive_cylinders(law: SequenceLaw) -> bool:
     """True iff every sequence (hence every cylinder of outcomes) has
     strictly positive probability."""
-    table = law.class_table()
+    table = law._classes
     if table is not None:
         return all(p > 0 for p in table.values())
     return all(p > 0 for p in law.probabilities)
@@ -383,38 +369,36 @@ def sufficientness_witness(
     Returns None when the rule passes, otherwise a witness
     (j, counts_a, counts_b, prediction_a, prediction_b) with the two count
     vectors agreeing in type-j tally and total yet predicting differently.
-    Raises TableTooLarge, before any rule call, past MAX_TABLE_SIZE vectors.
+    Raises TableTooLarge, before any rule call, when the search would
+    predict more than MAX_TABLE_SIZE entries (t per count vector).
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 2:
+    if not _whole(t) or t < 2:
         raise ValueError("need an alphabet of at least two symbols")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    # the search visits C(max_n + t, t) vectors: build it a factor at a time
+    if not _whole(max_n) or max_n < 0:
+        raise ValueError("max_n must be a nonnegative integer")
+    # the search predicts t entries at each of C(max_n + t, t) count
+    # vectors: build that product a factor at a time, stopping past the cap
     low, high = sorted((t, max_n))
-    vectors = 1
+    entries = t
     for i in range(1, low + 1):
-        vectors = vectors * (high + i) // i
-        if vectors > MAX_TABLE_SIZE:
-            raise TableTooLarge(
-                f"a sufficientness search over {int_string(t)} types and up to "
-                f"{int_string(max_n)} observations visits more than "
-                f"{MAX_TABLE_SIZE} count vectors"
-            )
+        if entries > MAX_TABLE_SIZE:
+            break
+        entries = entries * (high + i) // i
+    if entries > MAX_TABLE_SIZE:
+        raise TableTooLarge(
+            f"a sufficientness search over {int_string(t)} types and up to "
+            f"{int_string(max_n)} observations predicts more than "
+            f"{MAX_TABLE_SIZE} entries (count vectors times types)"
+        )
     name = getattr(rule, "__name__", "rule")
-    seen: dict[
-        tuple[int, int, int], tuple[tuple[int, ...], Fraction]
-    ] = {}
+    seen: dict[tuple[int, int, int], tuple[tuple[int, ...], Fraction]] = {}
     for n in range(max_n + 1):
         for counts in _compositions(n, t):
             vec = _validated_vector(rule(counts), t, name)
             for j in range(t):
-                key = (j, counts[j], n)
-                if key in seen:
-                    counts_a, val_a = seen[key]
-                    if val_a != vec[j]:
-                        return j, counts_a, counts, val_a, vec[j]
-                else:
-                    seen[key] = (counts, vec[j])
+                counts_a, val_a = seen.setdefault((j, counts[j], n), (counts, vec[j]))
+                if val_a != vec[j]:
+                    return j, counts_a, counts, val_a, vec[j]
     return None
 
 
@@ -434,9 +418,7 @@ class UrnComposition:
         colors = tuple(colors)
         if len(colors) < 2:
             raise ValueError("an urn needs at least two colors")
-        if any(
-            not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in colors
-        ):
+        if any(not _whole(c) or c < 0 for c in colors):
             raise ValueError("ball counts must be nonnegative integers")
         if sum(colors) < 1:
             raise ValueError("the urn must hold at least one ball")
@@ -459,7 +441,7 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
     vector c has probability prod_j falling(colors_j, c_j) / falling(N, k),
     the multivariate hypergeometric sampling law. Exchangeable by
     construction; raises SampleTooLarge when k exceeds the urn."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _whole(k) or k < 1:
         raise ValueError("k must be at least 1")
     if k > urn.total:
         raise SampleTooLarge(
@@ -488,7 +470,7 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
     from the original law's k-draw restriction is what the finite
     representation bound controls.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= law.length:
+    if not _whole(k) or not 1 <= k <= law.length:
         raise ValueError("k must satisfy 1 <= k <= law.length")
     n = law.length
     mixing = [
@@ -518,7 +500,7 @@ def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
         raise DimensionMismatch(
             f"laws of shape ({a.t}, {a.length}) and ({b.t}, {b.length})"
         )
-    ta, tb = a.class_table(), b.class_table()
+    ta, tb = a._classes, b._classes
     if ta is not None and tb is not None:
         return sum(
             (_multiplicity(c) * abs(ta[c] - tb[c]) for c in ta),
@@ -534,9 +516,9 @@ def df_bound(t: int, k: int, n: int) -> Fraction:
     """Distance bound 2*t*k/n for a k-draw restriction of an n-extendable
     exchangeable law against its canonical finite mixture (4k/n when
     t = 2)."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 2:
+    if not _whole(t) or t < 2:
         raise ValueError("need at least two types")
-    if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < k:
+    if not _whole(k) or not _whole(n) or k < 1 or n < k:
         raise ValueError("need draws 1 <= k <= n")
     return Fraction(2 * t * k, n)
 
@@ -557,9 +539,7 @@ def admits_exchangeable_extension(law: SequenceLaw) -> bool:
     if not is_exchangeable(law):
         raise ValueError("the law must be exchangeable")
     L = law.length
-    q = [
-        law.probability((1,) * j + (0,) * (L - j)) for j in range(L + 1)
-    ]
+    q = [law._classes[(L - j, j)] for j in range(L + 1)]
     # q'_j = (-1)^j x + c_j with c_0 = 0 and c_{j+1} = q_j - c_j
     lower = ZERO  # from j = 0: x >= 0
     upper: Fraction | None = None

@@ -41,6 +41,7 @@ from succession import (
     urn_law,
     variation_distance,
 )
+from succession.lab import _compositions
 import oracles
 
 
@@ -244,19 +245,11 @@ def test_criterion_10_cross_module_agreement():
 
 @criterion(11, "every urn law sits within 2tk/n of its finite mixture; the two-ball urn does not extend")
 def test_criterion_11_finite_representation_suite():
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     start = time.perf_counter()
     checked = 0
     for t in (2, 3):
         for total in range(1, 13):
-            for colors in compositions(total, t):
+            for colors in _compositions(total, t):
                 urn = UrnComposition(colors)
                 full = urn_law(urn, total)
                 for k in range(1, total + 1):

@@ -220,6 +220,15 @@ class TestLab:
         assert len(records) == 1
         assert exact(records[0]) == 1
 
+    def test_sufficientness_over_thousands_of_types(self, capsys):
+        code, out, err = run(
+            capsys,
+            "lab", "sufficientness", "--rule", "carnap", "--t", "5000",
+            "--lambda", "1", "--max-n", "0",
+        )
+        assert code == 0
+        assert out == "sufficientness: holds for all samples up to n=0\n"
+
     def test_df_check_frozen(self, capsys):
         records = run_json(
             capsys, "lab", "df-check", "--urn", "5,5", "--k", "3"
@@ -430,7 +439,9 @@ class TestExitCodes:
         assert code == 4
         assert "TableTooLarge" in err
 
-    @pytest.mark.parametrize("t, max_n", [("200", "6"), ("2", "100000000")])
+    @pytest.mark.parametrize(
+        "t, max_n", [("200", "6"), ("2", "100000000"), ("30", "4"), ("2", "1446")]
+    )
     def test_oversized_sufficientness_search_exits_4(self, capsys, t, max_n):
         code, out, err = run(
             capsys,
@@ -440,7 +451,10 @@ class TestExitCodes:
         assert code == 4
         assert "TableTooLarge" in err
 
-    @pytest.mark.parametrize("t, max_n", [(200, 6), (2, 10**8), (10**100, 1)])
+    @pytest.mark.parametrize(
+        "t, max_n",
+        [(200, 6), (2, 10**8), (10**100, 1), (30, 4), (2, 1446), (2**20 + 1, 0)],
+    )
     def test_sufficientness_search_refused_before_any_rule_call(self, t, max_n):
         def never(counts):
             raise AssertionError("the rule was called")

@@ -35,6 +35,7 @@ from succession import (
     variation_distance,
 )
 from succession.cli import LAB_RULES, _lab_rule
+from succession.lab import _compositions
 
 
 def laplace_rule(counts):
@@ -317,6 +318,11 @@ class TestClassPath:
         exchangeable = table_is_exchangeable(reference, t, length)
         assert is_exchangeable(law) == exchangeable
         assert (law.class_table() is not None) == exchangeable
+        # a dense table is classified by what it is, not how it was built
+        dense = SequenceLaw(t, length, reference)
+        assert dense.probabilities == reference
+        assert is_exchangeable(dense) == exchangeable
+        assert (dense.class_table() is not None) == exchangeable
 
     def test_length_twenty_in_under_a_second(self):
         start = time.perf_counter()
@@ -367,6 +373,23 @@ class TestSufficientness:
             sufficientness_witness(laplace_rule, 1, 3)
         with pytest.raises(ValueError):
             sufficientness_witness(laplace_rule, 2, -1)
+        for max_n in (2.5, True):
+            with pytest.raises(ValueError):
+                sufficientness_witness(laplace_rule, 2, max_n)
+
+    def test_thousands_of_types(self):
+        # the search at n = 0 meets one count vector of t zeros
+        assert satisfies_sufficientness(laplace_rule, 5000, 0)
+        assert next(_compositions(3, 5000)) == (0,) * 4999 + (3,)
+
+    def test_compositions_in_lexicographic_order(self):
+        for total in range(7):
+            for parts in range(1, 5):
+                expected = [
+                    c for c in itertools.product(range(total + 1), repeat=parts)
+                    if sum(c) == total
+                ]
+                assert list(_compositions(total, parts)) == expected
 
 
 class TestUrns:
@@ -497,6 +520,8 @@ class TestDfBound:
             df_bound(2, 0, 2)
         with pytest.raises(ValueError):
             df_bound(2, 3, 2)
+        with pytest.raises(ValueError):
+            df_bound(2, True, True)
 
 
 class TestExchangeableExtension:
