@@ -37,8 +37,8 @@ ONE = Fraction(1)
 # under that floor.
 _DIRECT_BITS = 2000
 _DIRECT_DIGITS = 600
-# patterns stay uncompiled until a literal is too long for int(): the re
-# module caches them then, and importing the package compiles nothing
+# patterns stay uncompiled until first used: the re module caches them
+# then, and importing the package compiles nothing
 _DIGIT_STRING = r"[+-]?[0-9]+"
 # the p/q and decimal literals Fraction() reads, without underscores or
 # exponents: sign, whole part, then a denominator or a fractional part
@@ -72,14 +72,11 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, also for literals longer than int()'s digit cap,
-    which Fraction() shares."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        form = re.fullmatch(_RATIONAL_STRING, text)
-        if form is None:
-            raise
+    """A p/q or decimal literal of any length. Exponents are refused: a few
+    characters of one can ask for a number of a million digits."""
+    form = re.fullmatch(_RATIONAL_STRING, text)
+    if form is None:
+        raise ValueError(text)
     sign, whole, den, frac = form.groups()
     if frac:
         return Fraction(parse_int(sign + whole + frac), 10 ** len(frac))
@@ -136,10 +133,7 @@ def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fracti
             return rising(num_start, d) / rising(num_start + count, d)
         if -count < d < 0:
             return rising(den_start + count, -d) / rising(den_start, -d)
-    out = ONE
-    for i in range(count):
-        out *= (num_start + i) / (den_start + i)
-    return out
+    return rising(num_start, count) / rising(den_start, count)
 
 
 def beta_sequence_marginal(

@@ -108,12 +108,16 @@ def _check_shape(t: int, length: int) -> None:
         raise ValueError("need an alphabet of at least two symbols")
     if not _whole(length) or length < 1:
         raise ValueError("length must be at least 1")
-    # t >= 2, so a length past the cap's bit length exceeds it; testing
-    # that first keeps t**length from being computed for huge lengths
-    if length >= MAX_TABLE_SIZE.bit_length() or t**length > MAX_TABLE_SIZE:
+    # t >= 2, so a length past the cap's bit length exceeds it; testing that
+    # first keeps t**length and the class count (t entries each) cheap
+    if (
+        length >= MAX_TABLE_SIZE.bit_length()
+        or t**length > MAX_TABLE_SIZE
+        or math.comb(length + t - 1, t - 1) * t > MAX_TABLE_SIZE
+    ):
         raise TableTooLarge(
-            f"a table of {int_string(t)}^{int_string(length)} sequences "
-            f"exceeds the cap of {MAX_TABLE_SIZE} entries"
+            f"a table of {int_string(t)}^{int_string(length)} sequences, or of t "
+            f"entries per count class, exceeds the cap of {MAX_TABLE_SIZE} entries"
         )
 
 
@@ -195,7 +199,9 @@ class SequenceLaw:
     def probability(self, sequence: Sequence[int]) -> Fraction:
         """Probability of one full sequence."""
         seq = tuple(sequence)
-        if len(seq) != self.length or any(not 0 <= s < self.t for s in seq):
+        if len(seq) != self.length or any(
+            not (_whole(s) and 0 <= s < self.t) for s in seq
+        ):
             raise DimensionMismatch(
                 f"expected a sequence of {self.length} symbols in 0..{self.t - 1}"
             )
@@ -377,14 +383,13 @@ def sufficientness_witness(
     if not _whole(max_n) or max_n < 0:
         raise ValueError("max_n must be a nonnegative integer")
     # the search predicts t entries at each of C(max_n + t, t) count
-    # vectors: build that product a factor at a time, stopping past the cap
-    low, high = sorted((t, max_n))
-    entries = t
-    for i in range(1, low + 1):
-        if entries > MAX_TABLE_SIZE:
-            break
-        entries = entries * (high + i) // i
-    if entries > MAX_TABLE_SIZE:
+    # vectors; C(t + max_n, low) >= 2**low, so a low past the cap's bit
+    # length exceeds it and the binomial is only taken when cheap
+    low = min(t, max_n)
+    if (
+        low >= MAX_TABLE_SIZE.bit_length()
+        or math.comb(t + max_n, low) * t > MAX_TABLE_SIZE
+    ):
         raise TableTooLarge(
             f"a sufficientness search over {int_string(t)} types and up to "
             f"{int_string(max_n)} observations predicts more than "

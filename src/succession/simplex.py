@@ -165,6 +165,8 @@ class SimplexMixturePrior:
         Gives every 'only type j ever occurs' hypothesis a standing chance
         while staying open-minded about genuinely mixed worlds.
         """
+        if not isinstance(t, int) or isinstance(t, bool) or t < 2:
+            raise ValueError("need at least two outcome types")
         vertex_share = Fraction(1, 2 * t)
         comps = [
             DirichletComponent.full((ONE,) * t, Fraction(1, 2))
@@ -235,14 +237,16 @@ def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Frac
         raise DimensionMismatch(
             f"component support exceeds t={cts.t}"
         )
-    return _marginal(cts.counts, component)
+    return _marginal(cts.counts, cts.n, component)
 
 
-def _marginal(counts: tuple[int, ...], face: _Face | DirichletComponent) -> Fraction:
-    """sequence_marginal on checked input: ``counts`` a plain tuple."""
+def _marginal(
+    counts: tuple[int, ...], n: int, face: _Face | DirichletComponent
+) -> Fraction:
+    """sequence_marginal on checked input: a plain tuple ``counts`` of total ``n``."""
     ks = face.params
     ns = [counts[j] for j in face.support]
-    if sum(ns) != sum(counts):
+    if sum(ns) != n:
         return ZERO
     # last split first: zip pairs type j with the running totals of the
     # parameters and counts after it
@@ -260,8 +264,9 @@ def _weighted_marginals(
 ) -> tuple[Fraction, ...]:
     # weight times sequence marginal per component; a weightless component
     # is never evaluated
+    n = sum(counts)
     return tuple(
-        c.weight * _marginal(counts, c) if c.weight else ZERO for c in components
+        c.weight * _marginal(counts, n, c) if c.weight else ZERO for c in components
     )
 
 
@@ -279,51 +284,41 @@ def _posterior_weights(
     return tuple(r / total if r else ZERO for r in raw)
 
 
+def _checked(prior: SimplexMixturePrior, counts: CountsLike) -> tuple[int, ...]:
+    cts = _as_counts(counts)
+    if cts.t != prior.t:
+        raise DimensionMismatch(
+            f"counts over {cts.t} types against a prior with t={prior.t}"
+        )
+    return cts.counts
+
+
 def mixture_posterior(
     prior: SimplexMixturePrior, counts: CountsLike
 ) -> tuple[Fraction, ...]:
     """Posterior component weights, aligned with ``prior.components``:
     prior weight times sequence marginal, normalized. Raises
     ZeroEvidenceProbability when every component dies."""
-    cts = _as_counts(counts)
-    if cts.t != prior.t:
-        raise DimensionMismatch(
-            f"counts over {cts.t} types against a prior with t={prior.t}"
-        )
-    return _posterior_weights(cts.counts, prior.components)
-
-
-def _component_predictive(
-    cts: MultinomialCounts, comp: DirichletComponent
-) -> tuple[Fraction, ...]:
-    out = [ZERO] * cts.t
-    if comp.is_vertex:
-        out[comp.support[0]] = ONE
-        return tuple(out)
-    n_in = sum(cts[j] for j in comp.support)
-    denom = n_in + sum(comp.params, ZERO)
-    for j, k in zip(comp.support, comp.params):
-        out[j] = (cts[j] + k) / denom
-    return tuple(out)
+    return _posterior_weights(_checked(prior, counts), prior.components)
 
 
 def mixture_predictive(
     prior: SimplexMixturePrior, counts: CountsLike
 ) -> tuple[Fraction, ...]:
-    """Next-observation probabilities under the whole mixture: the
-    posterior-weighted average of component predictives. Types outside a
-    component's support get 0 from it, so a sub-simplex component never
-    predicts what it cannot produce."""
-    cts = _as_counts(counts)
-    weights = mixture_posterior(prior, cts)
-    out = [ZERO] * cts.t
-    for w, comp in zip(weights, prior.components):
-        if w == 0:
-            continue
-        pred = _component_predictive(cts, comp)
-        for j in range(cts.t):
-            if pred[j] != 0:
-                out[j] += w * pred[j]
+    """Next-observation probabilities under the whole mixture: the posterior-
+    weighted average of component predictives, each over its own support. A
+    vertex adds its weight w at its type; a surviving face, which holds all n
+    observations, adds w * (n_j + k_j) / (n + k_face) at each of its types j."""
+    cts = _checked(prior, counts)
+    n = sum(cts)
+    out = [ZERO] * len(cts)
+    for w, comp in zip(_posterior_weights(cts, prior.components), prior.components):
+        if comp.is_vertex:
+            out[comp.support[0]] += w
+        elif w:
+            share = w / (n + sum(comp.params, ZERO))
+            for j, k in zip(comp.support, comp.params):
+                out[j] += (cts[j] + k) * share
     return tuple(out)
 
 

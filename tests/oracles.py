@@ -4,6 +4,8 @@ Every quantity here is computed from ``math.factorial`` alone: Beta and
 Dirichlet normalizing constants in closed factorial form, sequence
 marginals as ratios of them, and predictive probabilities as ratios of
 successive marginals (extend the record by one observation, divide).
+Dirichlet faces with non-integer parameters, which have no factorial form,
+are drawn from a Polya urn one ball at a time instead.
 
 Decimal renderings come from the standard ``decimal`` module instead, and
 laws built from a predictive rule from a plain walk over every sequence.
@@ -83,21 +85,38 @@ def dirichlet_marginal(params: tuple[int, ...], counts: tuple[int, ...]) -> Frac
     return out
 
 
+def polya_marginal(params: tuple[Fraction, ...], counts: tuple[int, ...]) -> Fraction:
+    """Ordered-sequence probability under Dirichlet(params) for any positive
+    rational parameters, as a Polya urn: type j starts with weight k_j and
+    gains 1 each time it is drawn. The sequence draws every type-0 ball
+    first, then every type-1 ball, and so on."""
+    out = Fraction(1)
+    urn = sum(params)
+    for k, n in zip(params, counts):
+        for i in range(n):
+            out *= (k + i) / urn
+            urn += 1
+    return out
+
+
 def mixture_marginal(prior: SimplexMixturePrior, counts: tuple[int, ...]) -> Fraction:
     """Mixture marginal over simplex components: vertices give indicator
-    likelihoods, faces their Dirichlet marginal restricted to the face."""
+    likelihoods, faces their Dirichlet marginal restricted to the face, in
+    factorial form when every parameter is an integer."""
     total = Fraction(0)
     for comp in prior.components:
         inside = set(comp.support)
         if any(c > 0 and j not in inside for j, c in enumerate(counts)):
             continue
+        face_counts = tuple(counts[j] for j in comp.support)
         if comp.is_vertex:
             total += comp.weight
-        else:
+        elif all(p.denominator == 1 for p in comp.params):
             total += comp.weight * dirichlet_marginal(
-                tuple(int(p) for p in comp.params),
-                tuple(counts[j] for j in comp.support),
+                tuple(int(p) for p in comp.params), face_counts
             )
+        else:
+            total += comp.weight * polya_marginal(comp.params, face_counts)
     return total
 
 

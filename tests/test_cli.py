@@ -410,6 +410,12 @@ class TestExitCodes:
             (("lab", "exchangeable", "--params", "1,0"),
              "succession lab exchangeable: error: argument --params: expected "
              "comma-separated positive rationals, got '1,0'"),
+            (("lab", "exchangeable", "--rule", "hintikka", "--t", "1",
+              "--length", "1"),
+             "error: ValueError: need at least two outcome types"),
+            (("predict", "--rule", "laplace", "--n", "1", "--alpha", "1e1000000"),
+             "succession predict: error: argument --alpha: not a rational: "
+             "'1e1000000'"),
         ],
     )
     def test_usage_error_messages(self, capsys, argv, last_line):
@@ -471,6 +477,30 @@ class TestExitCodes:
         )
         assert code == 4
         assert "TableTooLarge" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lab", "exchangeable", "--rule", "hintikka", "--t", "1000",
+             "--length", "2"),
+            ("lab", "urn", "--colors", ",".join(["1"] * 1500), "--k", "1"),
+        ],
+    )
+    def test_oversized_class_table_exits_4(self, capsys, argv):
+        # t**length fits the cap; the count classes times t entries do not
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 4
+        assert "TableTooLarge" in err
+
+    def test_exponent_literal_exits_2_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "predict", "--rule", "laplace", "--alpha", "1e1000000", "--n", "1"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
 
     def test_success_exits_0(self, capsys):
         code, out, err = run(capsys, "predict", "--rule", "laplace", "--n", "0")

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +38,17 @@ class TestAsRational:
             as_rational("one half")
         with pytest.raises(ValueError):
             as_rational("1/0")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e3", "2.5E-1", "1e1000000", "1_000", "1/2_0", "1 / 2", "1/ 2", "١٢"],
+    )
+    def test_only_fraction_and_decimal_literals(self, text):
+        # no exponents: "1e1000000" would be a number of a million digits
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            as_rational(text)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestRisingFalling:

@@ -35,7 +35,7 @@ from succession import (
     variation_distance,
 )
 from succession.cli import LAB_RULES, _lab_rule
-from succession.lab import _compositions
+from succession.lab import MAX_TABLE_SIZE, _compositions
 
 
 def laplace_rule(counts):
@@ -118,6 +118,25 @@ class TestSequenceLawConstruction:
             LAPLACE_2.probability((0, 1, 0))
         with pytest.raises(DimensionMismatch):
             LAPLACE_2.probability((0, 2))
+
+    @pytest.mark.parametrize("sequence", [(0.0, 1), (True, False), (F(1), 0)])
+    def test_symbols_must_be_ints(self, sequence):
+        for law in (LAPLACE_2, SequenceLaw(2, 2, LAPLACE_2.probabilities)):
+            with pytest.raises(DimensionMismatch):
+                law.probability(sequence)
+
+    @pytest.mark.parametrize("t, length", [(1000, 2), (100_000, 1), (32, 4)])
+    def test_class_tables_capped_by_what_they_store(self, t, length):
+        # t**length fits the cap, but C(length + t - 1, t - 1) count
+        # vectors of t entries each do not
+        assert t**length <= MAX_TABLE_SIZE
+        assert math.comb(length + t - 1, t - 1) * t > MAX_TABLE_SIZE
+        start = time.perf_counter()
+        with pytest.raises(TableTooLarge):
+            SequenceLaw.from_class_probabilities(t, length, {})
+        with pytest.raises(TableTooLarge):
+            law_from_predictive(laplace_rule, t, length)
+        assert time.perf_counter() - start < 0.05
 
     def test_class_law_dense_view_matches_lookup(self):
         law = urn_law(UrnComposition((2, 1)), 3)
@@ -376,6 +395,38 @@ class TestSufficientness:
         for max_n in (2.5, True):
             with pytest.raises(ValueError):
                 sufficientness_witness(laplace_rule, 2, max_n)
+
+    @staticmethod
+    def _old_refusal(t, max_n):
+        """The search budget as first written: t times C(max_n + t, t),
+        built a factor at a time and stopped past the cap."""
+        low, high = sorted((t, max_n))
+        entries = t
+        for i in range(1, low + 1):
+            if entries > MAX_TABLE_SIZE:
+                break
+            entries = entries * (high + i) // i
+        return entries > MAX_TABLE_SIZE
+
+    def test_refusal_matches_the_incremental_count(self):
+        class Searched(Exception):
+            pass
+
+        def rule(counts):
+            raise Searched
+
+        huge = 10**100
+        grid = [(t, max_n) for t in range(2, 70) for max_n in range(0, 70)]
+        grid += [(2**20, 0), (2**20 + 1, 0), (huge, 0), (huge, 1), (2, huge)]
+        grid += [(huge, huge), (2, 1446), (2, 1447), (3, 1024), (3, 1025)]
+        for t, max_n in grid:
+            try:
+                sufficientness_witness(rule, t, max_n)
+            except TableTooLarge:
+                refused = True
+            except Searched:
+                refused = False
+            assert refused == self._old_refusal(t, max_n), (t, max_n)
 
     def test_thousands_of_types(self):
         # the search at n = 0 meets one count vector of t zeros

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import beta_function, beta_marginal, dirichlet_marginal
+from oracles import beta_function, beta_marginal, dirichlet_marginal, polya_marginal
 
 
 @pytest.mark.parametrize(
@@ -79,5 +79,31 @@ def test_dirichlet_marginal_three_types_by_symbolic_integration():
     )
     value = 2 * integral  # Dirichlet(1,1,1) density is 2 on the simplex
     assert dirichlet_marginal((1, 1, 1), (2, 1, 0)) == Fraction(
+        int(value.p), int(value.q)
+    )
+
+
+def test_polya_marginal_matches_the_factorial_form():
+    for params in ((1, 1), (2, 1, 3), (1, 4, 1, 2)):
+        rest = len(params) - 2
+        for head, tail in (((0, 0), 0), ((2, 1), 1), ((0, 3), 2)):
+            counts = head + (tail,) * rest
+            assert polya_marginal(tuple(map(Fraction, params)), counts) == (
+                dirichlet_marginal(params, counts)
+            )
+
+
+@pytest.mark.parametrize(
+    "params, counts",
+    [(("1/2", "3/2"), (2, 1)), (("1/3", "2", "5/2"), (1, 0, 3))],
+)
+def test_polya_marginal_by_the_gamma_function(params, counts):
+    # prod_j Gamma(k_j + n_j) / Gamma(k_j), over Gamma(k + n) / Gamma(k)
+    ks = [sympy.Rational(k) for k in params]
+    value = sympy.gamma(sum(ks)) / sympy.gamma(sum(ks) + sum(counts))
+    for k, n in zip(ks, counts):
+        value *= sympy.gamma(k + n) / sympy.gamma(k)
+    value = sympy.nsimplify(sympy.gammasimp(value))
+    assert polya_marginal(tuple(map(Fraction, params)), counts) == Fraction(
         int(value.p), int(value.q)
     )

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from succession import (
     BinaryPrior,
@@ -108,6 +108,11 @@ class TestTypes:
         assert len(prior.components) == 5
         assert prior.components[0].support == (0, 1, 2, 3)
         assert sum(c.weight for c in prior.components) == 1
+
+    @pytest.mark.parametrize("t", [0, 1, -3, True, 2.0])
+    def test_hintikka_default_needs_two_types(self, t):
+        with pytest.raises(ValueError, match="need at least two outcome types"):
+            SimplexMixturePrior.hintikka_default(t)
 
 
 class TestSinglePredictives:
@@ -246,6 +251,27 @@ class TestMixturePosterior:
             mixture_posterior(TWO_VERTICES_AND_FLAT, (1, 1))
 
 
+@st.composite
+def mixtures_with_counts(draw):
+    """A mixture over 2-4 types whose components sit on random faces,
+    vertices included, with rational parameters and some weights zero, and
+    a count vector over the same types."""
+    t = draw(st.integers(2, 4))
+    supports = st.lists(
+        st.integers(0, t - 1), min_size=1, max_size=t, unique=True
+    ).map(lambda types: tuple(sorted(types)))
+    parameters = st.builds(F, st.integers(1, 6), st.integers(1, 3))
+    faces = []
+    for i, support in enumerate(draw(st.lists(supports, min_size=1, max_size=4))):
+        params = () if len(support) == 1 else tuple(draw(parameters) for _ in support)
+        faces.append((support, params, draw(st.integers(1 if i == 0 else 0, 3))))
+    total = sum(weight for _, _, weight in faces)
+    prior = SimplexMixturePrior(
+        t, tuple(DirichletComponent(s, p, F(w, total)) for s, p, w in faces)
+    )
+    return prior, draw(st.tuples(*[st.integers(0, 4)] * t))
+
+
 class TestMixturePredictive:
     def test_split_prior_reproduces_succession_rule(self):
         for n in range(1, 60):
@@ -258,6 +284,13 @@ class TestMixturePredictive:
         for t in (2, 3, 4):
             prior = SimplexMixturePrior.hintikka_default(t)
             assert mixture_predictive(prior, (0,) * t) == (F(1, t),) * t
+
+    def test_hintikka_default_is_linear_in_t(self):
+        # t + 1 components: each adds over its own support, never over all t
+        prior = SimplexMixturePrior.hintikka_default(4000)
+        start = time.perf_counter()
+        assert mixture_predictive(prior, (0,) * 4000) == (F(1, 4000),) * 4000
+        assert time.perf_counter() - start < 1.5
 
     def test_excluded_types_get_zero(self):
         edge_only = SimplexMixturePrior(
@@ -281,15 +314,16 @@ class TestMixturePredictive:
             assert sum(pred) == 1
             assert all(0 <= p <= 1 for p in pred)
 
-    def test_matches_oracle_ratio_of_marginals(self):
-        for prior in (TWO_VERTICES_AND_FLAT, WITH_EDGES):
-            for counts in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1), (0, 0, 3)):
-                marginal = oracles.mixture_marginal(prior, counts)
-                if marginal == 0:
-                    continue
-                pred = mixture_predictive(prior, counts)
-                for j in range(3):
-                    assert pred[j] == oracles.mixture_predictive(prior, counts, j)
+    @given(mixtures_with_counts())
+    @example((TWO_VERTICES_AND_FLAT, (2, 1, 0)))
+    @example((WITH_EDGES, (0, 0, 3)))
+    def test_matches_oracle_ratio_of_marginals(self, case):
+        prior, counts = case
+        if oracles.mixture_marginal(prior, counts) == 0:
+            return
+        assert mixture_predictive(prior, counts) == tuple(
+            oracles.mixture_predictive(prior, counts, j) for j in range(prior.t)
+        )
 
 
 class TestCrossModuleAgreement:
