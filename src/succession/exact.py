@@ -114,12 +114,12 @@ def falling(start: int, count: int) -> int:
 
 
 def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fraction:
-    """``rising(num_start, count) / rising(den_start, count)`` without
-    materializing either side.
+    """``rising(num_start, count) / rising(den_start, count)``.
 
     When the starts differ by an integer d the product telescopes to d
-    terms instead of ``count``; that is what makes astronomically long
-    blocks affordable. Otherwise the plain ``count``-term product runs.
+    terms instead of ``count``, so neither side is materialized; that is
+    what makes astronomically long blocks affordable. Otherwise both
+    ``count``-term products are built and divided once.
     """
     if count < 0:
         raise ValueError("ratio needs a nonnegative term count")

@@ -44,8 +44,8 @@ __all__ = [
     "admits_exchangeable_extension",
 ]
 
-# Dense tables above this size are refused (t=2 up to length 20, t=3 up to
-# length 12 both fit).
+# Every law, exchangeable or not, is refused when its t**length sequences or
+# its count classes times t exceed this (t=2 to length 20, t=3 to 12 fit).
 MAX_TABLE_SIZE = 2**20
 
 PredictiveRule = Callable[[tuple[int, ...]], Sequence[Fraction]]
@@ -103,17 +103,24 @@ def _multiplicity(counts: tuple[int, ...]) -> int:
     return out
 
 
+def _over_cap(m: int, k: int, t: int) -> bool:
+    # whether C(m, k) vectors of t entries exceed the cap; C(m, k) >= 2**k
+    # when m >= 2k, so a k past the cap's bit length exceeds it and the
+    # binomial is only taken when cheap
+    return k >= MAX_TABLE_SIZE.bit_length() or math.comb(m, k) * t > MAX_TABLE_SIZE
+
+
 def _check_shape(t: int, length: int) -> None:
     if not _whole(t) or t < 2:
         raise ValueError("need an alphabet of at least two symbols")
     if not _whole(length) or length < 1:
         raise ValueError("length must be at least 1")
     # t >= 2, so a length past the cap's bit length exceeds it; testing that
-    # first keeps t**length and the class count (t entries each) cheap
+    # first keeps t**length cheap
     if (
         length >= MAX_TABLE_SIZE.bit_length()
         or t**length > MAX_TABLE_SIZE
-        or math.comb(length + t - 1, t - 1) * t > MAX_TABLE_SIZE
+        or _over_cap(length + t - 1, length, t)
     ):
         raise TableTooLarge(
             f"a table of {int_string(t)}^{int_string(length)} sequences, or of t "
@@ -382,14 +389,8 @@ def sufficientness_witness(
         raise ValueError("need an alphabet of at least two symbols")
     if not _whole(max_n) or max_n < 0:
         raise ValueError("max_n must be a nonnegative integer")
-    # the search predicts t entries at each of C(max_n + t, t) count
-    # vectors; C(t + max_n, low) >= 2**low, so a low past the cap's bit
-    # length exceeds it and the binomial is only taken when cheap
-    low = min(t, max_n)
-    if (
-        low >= MAX_TABLE_SIZE.bit_length()
-        or math.comb(t + max_n, low) * t > MAX_TABLE_SIZE
-    ):
+    # the search predicts t entries at each of C(max_n + t, t) count vectors
+    if _over_cap(t + max_n, min(t, max_n), t):
         raise TableTooLarge(
             f"a sufficientness search over {int_string(t)} types and up to "
             f"{int_string(max_n)} observations predicts more than "

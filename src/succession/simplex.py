@@ -241,12 +241,12 @@ def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Frac
 
 
 def _marginal(
-    counts: tuple[int, ...], n: int, face: _Face | DirichletComponent
+    counts: tuple[int, ...], total: int, face: _Face | DirichletComponent
 ) -> Fraction:
-    """sequence_marginal on checked input: a plain tuple ``counts`` of total ``n``."""
+    """sequence_marginal on a checked tuple ``counts`` summing to ``total``."""
     ks = face.params
     ns = [counts[j] for j in face.support]
-    if sum(ns) != n:
+    if sum(ns) != total:
         return ZERO
     # last split first: zip pairs type j with the running totals of the
     # parameters and counts after it

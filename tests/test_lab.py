@@ -138,6 +138,20 @@ class TestSequenceLawConstruction:
             law_from_predictive(laplace_rule, t, length)
         assert time.perf_counter() - start < 0.05
 
+    def test_class_cap_refuses_laws_that_are_not_exchangeable(self):
+        # each constructor classifies a law before it knows whether the law
+        # is exchangeable, so the class cap holds for every law
+        t, length = 200, 2
+        assert t**length <= MAX_TABLE_SIZE
+        first_then_second = [F(0)] * t**length
+        first_then_second[1] = F(1)  # all mass on (0, 1), none on (1, 0)
+        with pytest.raises(TableTooLarge):
+            SequenceLaw(t, length, first_then_second)
+        with pytest.raises(TableTooLarge):
+            law_from_predictive(
+                lambda c: tuple(F(int(j == sum(c))) for j in range(t)), t, length
+            )
+
     def test_class_law_dense_view_matches_lookup(self):
         law = urn_law(UrnComposition((2, 1)), 3)
         dense = law.probabilities

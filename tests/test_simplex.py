@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from succession import (
     BinaryPrior,
@@ -315,15 +315,25 @@ class TestMixturePredictive:
             assert all(0 <= p <= 1 for p in pred)
 
     @given(mixtures_with_counts())
-    @example((TWO_VERTICES_AND_FLAT, (2, 1, 0)))
-    @example((WITH_EDGES, (0, 0, 3)))
     def test_matches_oracle_ratio_of_marginals(self, case):
-        prior, counts = case
-        if oracles.mixture_marginal(prior, counts) == 0:
-            return
-        assert mixture_predictive(prior, counts) == tuple(
-            oracles.mixture_predictive(prior, counts, j) for j in range(prior.t)
-        )
+        _assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "counts", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
+    )
+    @pytest.mark.parametrize(
+        "prior", [TWO_VERTICES_AND_FLAT, WITH_EDGES], ids=["flat", "edges"]
+    )
+    def test_matches_oracle_on_grid(self, prior, counts):
+        _assert_matches_oracle(prior, counts)
+
+
+def _assert_matches_oracle(prior, counts):
+    if oracles.mixture_marginal(prior, counts) == 0:
+        return
+    assert mixture_predictive(prior, counts) == tuple(
+        oracles.mixture_predictive(prior, counts, j) for j in range(prior.t)
+    )
 
 
 class TestCrossModuleAgreement:
