@@ -16,7 +16,8 @@ classified in the pass that validates it. Pairwise operations use the class
 form when both operands carry it, which is what makes exhaustive sweeps over
 urns affordable. A predictive rule is walked on the count lattice first;
 only a rule whose law turns out not to be exchangeable gets the dense
-chain-rule table, one entry per sequence.
+chain-rule table, one entry per sequence. Every table is built from integer
+numerators and denominators and reduced once, at the stored entry.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
-from .exact import ONE, ZERO, as_rational, falling, int_string
+from .exact import ZERO, as_rational, falling, int_string
 
 __all__ = [
     "SequenceLaw",
@@ -103,6 +104,12 @@ def _multiplicity(counts: tuple[int, ...]) -> int:
     return out
 
 
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    # the numerators of n/d over the lcm of the denominators, unreduced
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def _over_cap(m: int, k: int, t: int) -> bool:
     # whether C(m, k) vectors of t entries exceed the cap; C(m, k) >= 2**k
     # when m >= 2k, so a k past the cap's bit length exceeds it and the
@@ -152,7 +159,16 @@ class SequenceLaw:
             )
         if any(p < 0 for p in dense):
             raise ValueError("probabilities must be nonnegative")
-        if sum(dense, ZERO) != 1:
+        self._adopt(t, length, dense)
+
+    def _adopt(self, t: int, length: int, dense: tuple[Fraction, ...]) -> "SequenceLaw":
+        # the dense core: numerators summed per distinct denominator, then
+        # over their lcm in integers; the classification stops at a mismatch
+        by_den: dict[int, int] = {}
+        for p in dense:
+            by_den[p.denominator] = by_den.get(p.denominator, 0) + p.numerator
+        nums, den = _over_lcm([(n, d) for d, n in by_den.items()])
+        if sum(nums) != den:
             raise ValueError("probabilities must sum to exactly 1")
         classes: dict[tuple[int, ...], Fraction] | None = {}
         for counts, p in zip(_lex_counts(t, length), dense):
@@ -163,6 +179,7 @@ class SequenceLaw:
         self.length = length
         self._dense: tuple[Fraction, ...] | None = dense
         self._classes = classes
+        return self
 
     @classmethod
     def from_class_probabilities(
@@ -176,11 +193,11 @@ class SequenceLaw:
         class."""
         _check_shape(t, length)
         table: dict[tuple[int, ...], Fraction] = {}
-        total = ZERO
         expected = math.comb(length + t - 1, t - 1)
         for counts, prob in class_probs.items():
             counts = tuple(counts)
-            if len(counts) != t or any(c < 0 for c in counts) or sum(counts) != length:
+            whole = all(_whole(c) and c >= 0 for c in counts)
+            if len(counts) != t or not whole or sum(counts) != length:
                 raise DimensionMismatch(
                     f"count vector {counts} does not describe {length} draws "
                     f"over {t} types"
@@ -189,18 +206,26 @@ class SequenceLaw:
             if prob < 0:
                 raise ValueError("probabilities must be nonnegative")
             table[counts] = prob
-            total += prob * _multiplicity(counts)
         if len(table) != expected:
             raise DimensionMismatch(
                 f"expected {expected} count classes, got {len(table)}"
             )
-        if total != 1:
+        nums, den = _over_lcm([p.as_integer_ratio() for p in table.values()])
+        return cls._from_numerators(t, length, dict(zip(table, nums)), den)
+
+    @classmethod
+    def _from_numerators(
+        cls, t: int, length: int, nums: dict[tuple[int, ...], int], den: int
+    ) -> "SequenceLaw":
+        # the class core: numerators over one denominator sum to 1 in one
+        # integer comparison, and each entry is reduced once
+        if sum(n * _multiplicity(c) for c, n in nums.items() if n) != den:
             raise ValueError("probabilities must sum to exactly 1")
         law = cls.__new__(cls)
         law.t = t
         law.length = length
         law._dense = None
-        law._classes = table
+        law._classes = {c: Fraction(n, den) for c, n in nums.items()}
         return law
 
     def probability(self, sequence: Sequence[int]) -> Fraction:
@@ -252,7 +277,7 @@ class SequenceLaw:
         ``length`` draws realize each composition."""
         if self._classes is not None:
             return {
-                c: p * _multiplicity(c) for c, p in self._classes.items()
+                c: p * _multiplicity(c) if p else p for c, p in self._classes.items()
             }
         out = dict.fromkeys(_compositions(self.length, self.t), ZERO)
         for counts, p in zip(_lex_counts(self.t, self.length), self.probabilities):
@@ -283,33 +308,36 @@ def _validated_vector(
 
 
 def _class_walk(
-    predictive: Callable[[tuple[int, ...]], tuple[Fraction, ...]],
+    predictive: Callable[[tuple[int, ...]], tuple[list[int], int]],
     t: int,
     length: int,
-) -> dict[tuple[int, ...], Fraction] | None:
+) -> tuple[dict[tuple[int, ...], int], int] | None:
     """Per-sequence probability of each count vector of ``length`` draws,
-    built one level of the count lattice at a time; None as soon as two
-    sequences with equal counts get different probabilities.
+    as integer numerators over one denominator, built one level of the
+    count lattice at a time; None as soon as two sequences with equal
+    counts get different probabilities.
 
     q(c + e_i) is q(c) * p_c(i) from every predecessor c. When all
     predecessors agree at every level, each sequence's chain-rule product
     equals q of its count vector, by induction on the length. When two
     disagree, a sequence through one and a sequence through the other
     share a count vector but not a probability. The rule is consulted only
-    where q(c) > 0.
+    where q(c) > 0. Each q is an unreduced pair (numerator, denominator).
     """
-    level: dict[tuple[int, ...], Fraction] = {(0,) * t: ONE}
+    level: dict[tuple[int, ...], tuple[int, int]] = {(0,) * t: (1, 1)}
     for _ in range(length):
-        children: dict[tuple[int, ...], Fraction] = {}
-        for counts, q in level.items():
-            vec = predictive(counts) if q else None
+        children: dict[tuple[int, ...], tuple[int, int]] = {}
+        for counts, (n, d) in level.items():
+            nums, den = predictive(counts) if n else ((0,) * t, 1)
             for i in range(t):
                 child = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                value = q * vec[i] if vec is not None else ZERO
-                if children.setdefault(child, value) != value:
+                value = (n * nums[i], d * den)
+                kept_n, kept_d = children.setdefault(child, value)
+                if kept_n * value[1] != value[0] * kept_d:
                     return None
         level = children
-    return level
+    nums, den = _over_lcm(list(level.values()))
+    return dict(zip(level, nums)), den
 
 
 def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLaw:
@@ -328,32 +356,38 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     stored per class, one entry per count vector. At the first count vector where two
     predecessors disagree, the law is not exchangeable and the construction
     falls back to the dense table, one entry per sequence, reusing the
-    predictions already made.
+    predictions already made. Both walks multiply integer numerators and
+    denominators; each stored entry is reduced once.
     """
     _check_shape(t, length)
     name = getattr(rule, "__name__", "rule")
-    cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    cache: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
-    def predictive(counts: tuple[int, ...]) -> tuple[Fraction, ...]:
-        vec = cache.get(counts)
-        if vec is None:
+    def predictive(counts: tuple[int, ...]) -> tuple[list[int], int]:
+        entry = cache.get(counts)
+        if entry is None:
             vec = _validated_vector(rule(counts), t, name)
-            cache[counts] = vec
-        return vec
+            entry = cache[counts] = _over_lcm([p.as_integer_ratio() for p in vec])
+        return entry
 
-    classes = _class_walk(predictive, t, length)
-    if classes is not None:
-        return SequenceLaw.from_class_probabilities(t, length, classes)
-    # the chain rule over every prefix, one length at a time in table order
-    zeros = (ZERO,) * t
-    level = [ONE]
+    walked = _class_walk(predictive, t, length)
+    if walked is not None:
+        return SequenceLaw._from_numerators(t, length, *walked)
+    # the chain rule over every prefix in table order, on unreduced pairs:
+    # the children of (n, d) are (n * a_i, d * D) for the numerators a_i / D
+    zeros = ((0,) * t, 1)
+    level = [(1, 1)]
     for depth in range(length):
         level = [
-            p * q
-            for p, counts in zip(level, _lex_counts(t, depth))
-            for q in (predictive(counts) if p else zeros)
+            (n * a, child_d)
+            for (n, d), counts in zip(level, _lex_counts(t, depth))
+            for vec, den in [predictive(counts) if n else zeros]
+            for child_d in [d * den]
+            for a in vec
         ]
-    return SequenceLaw(t, length, level)
+    for i, (n, d) in enumerate(level):  # in place, so one table is live
+        level[i] = Fraction(n, d)
+    return SequenceLaw.__new__(SequenceLaw)._adopt(t, length, tuple(level))
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:
@@ -366,10 +400,9 @@ def is_exchangeable(law: SequenceLaw) -> bool:
 def has_positive_cylinders(law: SequenceLaw) -> bool:
     """True iff every sequence (hence every cylinder of outcomes) has
     strictly positive probability."""
+    # every stored entry is nonnegative, so positive means nonzero
     table = law._classes
-    if table is not None:
-        return all(p > 0 for p in table.values())
-    return all(p > 0 for p in law.probabilities)
+    return all(table.values() if table is not None else law.probabilities)
 
 
 def sufficientness_witness(
@@ -454,16 +487,16 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
             f"asked for {k} draws from an urn of {urn.total} balls"
         )
     _check_shape(urn.t, k)
-    denom = falling(urn.total, k)
-    table: dict[tuple[int, ...], Fraction] = {}
+    nums: dict[tuple[int, ...], int] = {}
     for counts in _compositions(k, urn.t):
         num = 1
         for balls, c in zip(urn.colors, counts):
-            num *= falling(balls, c)
-            if num == 0:
-                break
-        table[counts] = Fraction(num, denom)
-    return SequenceLaw.from_class_probabilities(urn.t, k, table)
+            if c:  # falling(balls, 0) is 1
+                num *= falling(balls, c)
+                if num == 0:
+                    break
+        nums[counts] = num
+    return SequenceLaw._from_numerators(urn.t, k, nums, falling(urn.total, k))
 
 
 def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
@@ -479,24 +512,19 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
     if not _whole(k) or not 1 <= k <= law.length:
         raise ValueError("k must satisfy 1 <= k <= law.length")
     n = law.length
-    mixing = [
-        (m, weight) for m, weight in law.count_distribution().items() if weight != 0
-    ]
-    table: dict[tuple[int, ...], Fraction] = {}
+    weights = {m: w for m, w in law.count_distribution().items() if w != 0}
+    mixing, den = _over_lcm([w.as_integer_ratio() for w in weights.values()])
+    # a class gets sum_m mixing_m * prod_j m_j**c_j over den * n**k
+    nums: dict[tuple[int, ...], int] = {}
     for counts in _compositions(k, law.t):
-        total = ZERO
-        for m, weight in mixing:
-            term = weight
+        total = 0
+        for m, term in zip(weights, mixing):
             for m_j, c_j in zip(m, counts):
-                if c_j == 0:
-                    continue
-                if m_j == 0:
-                    term = ZERO
-                    break
-                term *= Fraction(m_j, n) ** c_j
+                if c_j:
+                    term *= m_j**c_j
             total += term
-        table[counts] = total
-    return SequenceLaw.from_class_probabilities(law.t, k, table)
+        nums[counts] = total
+    return SequenceLaw._from_numerators(law.t, k, nums, den * n**k)
 
 
 def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:

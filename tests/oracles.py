@@ -13,6 +13,11 @@ None of this shares code with the engine, which evaluates the same
 quantities through telescoped rising-factorial products and
 posterior-component averaging. Agreement between the two routes is the
 backbone of the suite.
+
+Urn laws and canonical mixtures are also built the direct way, one
+``Fraction`` product and sum per term, as the reference for the lab's
+integer-numerator constructions. These two do use the lab's helpers for
+enumerating count classes and checking shapes.
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from succession import BinaryPrior, SimplexMixturePrior
+from succession import (
+    BinaryPrior,
+    SampleTooLarge,
+    SequenceLaw,
+    SimplexMixturePrior,
+    UrnComposition,
+)
+from succession.exact import ZERO, falling
+from succession.lab import _check_shape, _compositions, _whole
 
 
 def beta_function(a: int, b: int) -> Fraction:
@@ -180,3 +193,60 @@ def table_is_exchangeable(table: tuple[Fraction, ...], t: int, length: int) -> b
         if by_counts.setdefault(key, prob) != prob:
             return False
     return True
+
+
+def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
+    """Law of k ordered draws without replacement: a sequence with count
+    vector c has probability prod_j falling(colors_j, c_j) / falling(N, k),
+    the multivariate hypergeometric sampling law. Exchangeable by
+    construction; raises SampleTooLarge when k exceeds the urn."""
+    if not _whole(k) or k < 1:
+        raise ValueError("k must be at least 1")
+    if k > urn.total:
+        raise SampleTooLarge(
+            f"asked for {k} draws from an urn of {urn.total} balls"
+        )
+    _check_shape(urn.t, k)
+    denom = falling(urn.total, k)
+    table: dict[tuple[int, ...], Fraction] = {}
+    for counts in _compositions(k, urn.t):
+        num = 1
+        for balls, c in zip(urn.colors, counts):
+            num *= falling(balls, c)
+            if num == 0:
+                break
+        table[counts] = Fraction(num, denom)
+    return SequenceLaw.from_class_probabilities(urn.t, k, table)
+
+
+def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
+    """The finite mixture-of-iid approximation built from a law of length
+    n: mix iid draws from theta = (empirical frequencies) using the law's
+    own count distribution as the mixing measure, then look at the first
+    k coordinates.
+
+    The result is exchangeable and extends to any length; its distance
+    from the original law's k-draw restriction is what the finite
+    representation bound controls.
+    """
+    if not _whole(k) or not 1 <= k <= law.length:
+        raise ValueError("k must satisfy 1 <= k <= law.length")
+    n = law.length
+    mixing = [
+        (m, weight) for m, weight in law.count_distribution().items() if weight != 0
+    ]
+    table: dict[tuple[int, ...], Fraction] = {}
+    for counts in _compositions(k, law.t):
+        total = ZERO
+        for m, weight in mixing:
+            term = weight
+            for m_j, c_j in zip(m, counts):
+                if c_j == 0:
+                    continue
+                if m_j == 0:
+                    term = ZERO
+                    break
+                term *= Fraction(m_j, n) ** c_j
+            total += term
+        table[counts] = total
+    return SequenceLaw.from_class_probabilities(law.t, k, table)

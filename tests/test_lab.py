@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import chain_rule_table, table_is_exchangeable
 
 from succession import (
@@ -109,6 +110,14 @@ class TestSequenceLawConstruction:
             SequenceLaw.from_class_probabilities(
                 2, 2, {(2, 0): F(1, 2), (1, 1): F(1, 2), (0, 2): F(1, 2)}
             )
+
+    @pytest.mark.parametrize(
+        "tallies", [(F(1, 2), F(3, 2)), (0.5, 1.5), (True, True), (F(2), 0)]
+    )
+    def test_class_tallies_must_be_whole(self, tallies):
+        table = {(2, 0): F(1, 4), (1, 1): F(1, 4), (0, 2): F(1, 4)}
+        with pytest.raises(DimensionMismatch):
+            SequenceLaw.from_class_probabilities(2, 2, {tallies: F(1, 4), **table})
 
     def test_probability_lookup_both_representations(self):
         dense = SequenceLaw(2, 2, LAPLACE_2.probabilities)
@@ -308,6 +317,20 @@ def _table_rule(rng, t):
     return rule
 
 
+def _prime_rule(t):
+    # predictions over a different prime at every count vector, so the
+    # denominators are pairwise coprime; the tallies drive some entries to 0
+    primes = iter(p for p in itertools.count(11) if all(p % q for q in range(2, p)))
+    denominators = {}
+
+    def rule(counts):
+        den = denominators.setdefault(counts, next(primes))
+        head = [(counts[0] + 2 * i + sum(counts)) % 4 for i in range(t - 1)]
+        return tuple(F(w, den) for w in head + [den - sum(head)])
+
+    return rule
+
+
 class TestClassPath:
     """Laws built from a predictive rule against the dense chain-rule
     reference: class-stored exactly when the reference is exchangeable."""
@@ -356,6 +379,20 @@ class TestClassPath:
         assert dense.probabilities == reference
         assert is_exchangeable(dense) == exchangeable
         assert (dense.class_table() is not None) == exchangeable
+
+    @pytest.mark.parametrize(
+        "t,length", [(2, 2), (2, 7), (2, 10), (3, 2), (3, 4), (3, 6)]
+    )
+    def test_non_exchangeable_rules_match_the_reference(self, t, length):
+        rule = _prime_rule(t)
+        law = law_from_predictive(rule, t, length)
+        reference = chain_rule_table(rule, t, length)
+        assert law.probabilities == reference
+        assert not table_is_exchangeable(reference, t, length)
+        assert law.class_table() is None and not is_exchangeable(law)
+        assert 0 in reference  # some prefixes are cut off
+        dense = SequenceLaw(t, length, reference)
+        assert dense.probabilities == reference and not is_exchangeable(dense)
 
     def test_length_twenty_in_under_a_second(self):
         start = time.perf_counter()
@@ -524,6 +561,25 @@ class TestCanonicalMixture:
         mixed = canonical_mixture(law, 3)
         assert is_exchangeable(mixed)
         assert admits_exchangeable_extension(mixed)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_integer_routes_match_the_reference(self, t):
+        # criterion 11's grid: every urn of up to 12 balls, every k
+        for total in range(1, 13):
+            for colors in _compositions(total, t):
+                urn = UrnComposition(colors)
+                full = urn_law(urn, total)
+                reference = oracles.urn_law(urn, total)
+                assert full.class_table() == reference.class_table()
+                for k in range(1, total + 1):
+                    assert (
+                        urn_law(urn, k).class_table()
+                        == oracles.urn_law(urn, k).class_table()
+                    )
+                    assert (
+                        canonical_mixture(full, k).class_table()
+                        == oracles.canonical_mixture(reference, k).class_table()
+                    )
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
