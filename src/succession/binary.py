@@ -132,8 +132,8 @@ def marginal_likelihood(prior: BinaryPrior, ev: Evidence) -> Fraction:
     the point at theta=0 only when nothing confirms, and the continuous part
     contributes B(alpha+confirm, beta+disconfirm) / B(alpha, beta).
     """
-    counts = (ev.confirm, ev.disconfirm)
-    return sum(_weighted_marginals(counts, _binary_faces(prior)), ZERO)
+    nums, den = _weighted_marginals((ev.confirm, ev.disconfirm), _binary_faces(prior))
+    return Fraction(sum(nums), den)
 
 
 def _posterior(prior: BinaryPrior, ev: Evidence) -> tuple[Fraction, ...]:

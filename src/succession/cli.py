@@ -14,8 +14,8 @@ rounding.
 
 Exit codes: 0 success, 2 usage error, 3 model contradiction
 (ZeroEvidenceProbability or UGFalsified, named on stderr), 4 resource
-limit (a sequence table over the size cap, or a sufficientness search
-over the count-vector cap).
+limit (ResourceLimit: a sequence table over the size cap, a sufficientness
+search over the count-vector cap, or a rising factorial over the term cap).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .binary import BinaryPrior, Evidence, predict_block, predict_next
-from .errors import SuccessionError, TableTooLarge, UGFalsified, ZeroEvidenceProbability
+from .errors import ResourceLimit, SuccessionError, UGFalsified, ZeroEvidenceProbability
 from .exact import ONE, as_rational, decimal_string, int_string, parse_int
 from .lab import (
     UrnComposition,
@@ -57,8 +57,8 @@ __all__ = ["main"]
 MAX_DIGITS = 10_000
 # per-sequence listings switch to per-class summaries above this many rows
 URN_LISTING_CAP = 256
-# errors that are not usage errors; every other one exits 2
-EXIT_CODES = {ZeroEvidenceProbability: 3, UGFalsified: 3, TableTooLarge: 4}
+# errors that are not usage errors, subclasses included; every other one exits 2
+EXIT_CODES = {ZeroEvidenceProbability: 3, UGFalsified: 3, ResourceLimit: 4}
 
 
 def _split_from_odds(odds: Fraction, alpha: Fraction) -> BinaryPrior:
@@ -543,7 +543,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.handler(args)
     except (SuccessionError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 2)
+        return next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), 2)
     return 0
 
 

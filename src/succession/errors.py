@@ -15,6 +15,7 @@ __all__ = [
     "DimensionMismatch",
     "InvalidRule",
     "SampleTooLarge",
+    "ResourceLimit",
     "TableTooLarge",
 ]
 
@@ -55,5 +56,10 @@ class SampleTooLarge(SuccessionError, ValueError):
     """More draws were requested from an urn than it holds."""
 
 
-class TableTooLarge(SuccessionError):
+class ResourceLimit(SuccessionError):
+    """An input would need more work or memory than a fixed cap allows; it
+    is refused before that work starts."""
+
+
+class TableTooLarge(ResourceLimit):
     """A dense sequence-law table would exceed the configured size cap."""

@@ -8,9 +8,12 @@ through a careless literal.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
+
+from .errors import ResourceLimit
 
 __all__ = [
     "Rational",
@@ -31,6 +34,11 @@ RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# rising() builds one Fraction per term, so its cost grows with the square of
+# the term count: 10**4 terms take 0.3-0.5 s on a 2-core Xeon under CPython
+# 3.11.7, twice that many about four times as long
+MAX_RISING_TERMS = 10**4
 
 # str() and int() refuse more than sys.get_int_max_str_digits() digits (4300
 # by default, never below 640 when set); 2000 bits and 600 digits are both
@@ -86,14 +94,27 @@ def _parse_rational(text: str) -> Fraction:
 def rising(start: Fraction, count: int) -> Fraction:
     """Rising factorial: ``start * (start+1) * ... * (start+count-1)``.
 
-    ``rising(x, 0)`` is 1 by the empty-product convention.
+    ``rising(x, 0)`` is 1 by the empty-product convention. Raises
+    ResourceLimit, before multiplying anything, when ``count`` exceeds
+    MAX_RISING_TERMS.
     """
     if count < 0:
         raise ValueError("rising factorial needs a nonnegative term count")
+    if count > MAX_RISING_TERMS:
+        raise ResourceLimit(
+            f"a rising factorial of {int_string(count)} terms exceeds the cap "
+            f"of {MAX_RISING_TERMS} terms"
+        )
     out = ONE
     for i in range(count):
         out *= start + i
     return out
+
+
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    # the numerators of n/d over the lcm of the denominators, unreduced
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def falling(start: int, count: int) -> int:
@@ -159,13 +180,18 @@ def beta_sequence_marginal(
     if alpha.denominator == 1:
         candidates.append((a + 2 * int(alpha) + a, "via_alpha"))
     route = min(candidates)[1]
+    # each route divides by its longest product; building that one first
+    # refuses a count over the term cap before any multiplying
     if route == "via_beta":
         bi = int(beta)
-        return rising(beta, b) * rising(alpha, bi) / rising(alpha + a, bi + b)
+        den = rising(alpha + a, bi + b)
+        return rising(beta, b) * rising(alpha, bi) / den
     if route == "via_alpha":
         ai = int(alpha)
-        return rising(alpha, a) * rising(beta, ai) / rising(beta + b, ai + a)
-    return rising(alpha, a) * rising(beta, b) / rising(alpha + beta, a + b)
+        den = rising(beta + b, ai + a)
+        return rising(alpha, a) * rising(beta, ai) / den
+    den = rising(alpha + beta, a + b)
+    return rising(alpha, a) * rising(beta, b) / den
 
 
 def all_success_probability(a: Fraction, b: Fraction, horizon: int) -> Fraction:

@@ -17,18 +17,22 @@ form when both operands carry it, which is what makes exhaustive sweeps over
 urns affordable. A predictive rule is walked on the count lattice first;
 only a rule whose law turns out not to be exchangeable gets the dense
 chain-rule table, one entry per sequence. Every table is built from integer
-numerators and denominators and reduced once, at the stored entry.
+numerators and denominators and reduced once, at the stored entry: one
+Fraction per entry. A rule's vector is validated as integer numerators over
+the lcm of its denominators, and a distance between two class tables is
+summed over one common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
-from .exact import ZERO, as_rational, falling, int_string
+from .exact import ZERO, _over_lcm, as_rational, falling, int_string
 
 __all__ = [
     "SequenceLaw",
@@ -96,18 +100,18 @@ def _lex_counts(t: int, length: int) -> Iterator[tuple[int, ...]]:
         counts[s + 1] += 1
 
 
-def _multiplicity(counts: tuple[int, ...]) -> int:
-    # number of sequences sharing this count vector
-    out = math.factorial(sum(counts))
+def _factorials(length: int) -> list[int]:
+    # 0!, 1!, ..., length!: one table per call serves every class multiplicity
+    return list(itertools.accumulate(range(1, length + 1), operator.mul, initial=1))
+
+
+def _multiplicity(counts: tuple[int, ...], factorials: list[int]) -> int:
+    # number of sequences sharing this count vector; the table ends at the
+    # vector's total
+    out = factorials[-1]
     for c in counts:
-        out //= math.factorial(c)
+        out //= factorials[c]
     return out
-
-
-def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
-    # the numerators of n/d over the lcm of the denominators, unreduced
-    den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
 
 
 def _over_cap(m: int, k: int, t: int) -> bool:
@@ -219,7 +223,8 @@ class SequenceLaw:
     ) -> "SequenceLaw":
         # the class core: numerators over one denominator sum to 1 in one
         # integer comparison, and each entry is reduced once
-        if sum(n * _multiplicity(c) for c, n in nums.items() if n) != den:
+        factorials = _factorials(length)
+        if sum(n * _multiplicity(c, factorials) for c, n in nums.items() if n) != den:
             raise ValueError("probabilities must sum to exactly 1")
         law = cls.__new__(cls)
         law.t = t
@@ -276,8 +281,10 @@ class SequenceLaw:
         """Distribution of the empirical count vector: probability that the
         ``length`` draws realize each composition."""
         if self._classes is not None:
+            factorials = _factorials(self.length)
             return {
-                c: p * _multiplicity(c) if p else p for c, p in self._classes.items()
+                c: p * _multiplicity(c, factorials) if p else p
+                for c, p in self._classes.items()
             }
         out = dict.fromkeys(_compositions(self.length, self.t), ZERO)
         for counts, p in zip(_lex_counts(self.t, self.length), self.probabilities):
@@ -291,7 +298,9 @@ class SequenceLaw:
 
 def _validated_vector(
     raw: Sequence[Fraction], t: int, rule_name: str
-) -> tuple[Fraction, ...]:
+) -> tuple[tuple[Fraction, ...], list[int], int]:
+    # a rule's vector, also as integer numerators over the lcm of its
+    # denominators; signs and the sum are checked on those integers
     try:
         vec = tuple(as_rational(p) for p in raw)
     except (TypeError, ValueError) as exc:
@@ -300,11 +309,12 @@ def _validated_vector(
         raise InvalidRule(
             f"{rule_name} returned {len(vec)} entries for {t} symbols"
         )
-    if any(p < 0 for p in vec):
+    nums, den = _over_lcm([p.as_integer_ratio() for p in vec])
+    if any(n < 0 for n in nums):
         raise InvalidRule(f"{rule_name} returned a negative probability")
-    if sum(vec, ZERO) != 1:
+    if sum(nums) != den:
         raise InvalidRule(f"{rule_name} returned entries not summing to 1")
-    return vec
+    return vec, nums, den
 
 
 def _class_walk(
@@ -366,8 +376,8 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     def predictive(counts: tuple[int, ...]) -> tuple[list[int], int]:
         entry = cache.get(counts)
         if entry is None:
-            vec = _validated_vector(rule(counts), t, name)
-            entry = cache[counts] = _over_lcm([p.as_integer_ratio() for p in vec])
+            _, nums, den = _validated_vector(rule(counts), t, name)
+            entry = cache[counts] = nums, den
         return entry
 
     walked = _class_walk(predictive, t, length)
@@ -433,7 +443,7 @@ def sufficientness_witness(
     seen: dict[tuple[int, int, int], tuple[tuple[int, ...], Fraction]] = {}
     for n in range(max_n + 1):
         for counts in _compositions(n, t):
-            vec = _validated_vector(rule(counts), t, name)
+            vec, _, _ = _validated_vector(rule(counts), t, name)
             for j in range(t):
                 counts_a, val_a = seen.setdefault((j, counts[j], n), (counts, vec[j]))
                 if val_a != vec[j]:
@@ -536,10 +546,19 @@ def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
         )
     ta, tb = a._classes, b._classes
     if ta is not None and tb is not None:
-        return sum(
-            (_multiplicity(c) * abs(ta[c] - tb[c]) for c in ta),
-            ZERO,
-        )
+        # both tables over one lcm: |difference| times multiplicity is summed
+        # in integers and reduced once
+        den = math.lcm(*{p.denominator for p in (*ta.values(), *tb.values())})
+        factorials = _factorials(a.length)
+        total = 0
+        for c, pa in ta.items():
+            pb = tb[c]
+            diff = pa.numerator * (den // pa.denominator) - pb.numerator * (
+                den // pb.denominator
+            )
+            if diff:
+                total += abs(diff) * _multiplicity(c, factorials)
+        return Fraction(total, den)
     return sum(
         (abs(pa - pb) for pa, pb in zip(a.probabilities, b.probabilities)),
         ZERO,

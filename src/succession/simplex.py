@@ -9,11 +9,14 @@ proper face assign probability zero to every type outside it, so one
 observation of an excluded type kills the component outright.
 
 This module is the package's one marginal engine; :mod:`succession.binary`
-is its t = 2 view.
+is its t = 2 view. Posterior weights and predictive vectors are built from
+integer numerators over one denominator and reduced once, at the answer:
+one Fraction per entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -22,7 +25,14 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, ZeroEvidenceProbability
-from .exact import ONE, ZERO, RationalLike, as_rational, beta_sequence_marginal
+from .exact import (
+    ONE,
+    ZERO,
+    RationalLike,
+    _over_lcm,
+    as_rational,
+    beta_sequence_marginal,
+)
 
 if TYPE_CHECKING:
     from .binary import BinaryPrior
@@ -193,8 +203,8 @@ def dirichlet_predictive(
         )
     if any(p <= 0 for p in ps):
         raise ValueError("Dirichlet parameters must be positive")
-    denom = cts.n + sum(ps)
-    return tuple((cts[j] + ps[j]) / denom for j in range(cts.t))
+    shares, den = _face_shares(cts.counts, ps)
+    return tuple(Fraction(s, den) for s in shares)
 
 
 def carnap_predictive(counts: CountsLike, lam: RationalLike) -> tuple[Fraction, ...]:
@@ -210,6 +220,17 @@ def carnap_predictive(counts: CountsLike, lam: RationalLike) -> tuple[Fraction, 
         raise ValueError("lambda must be positive")
     share = lam / cts.t
     return dirichlet_predictive(cts, (share,) * cts.t)
+
+
+def _face_shares(
+    counts: Sequence[int], params: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """The Dirichlet predictive (n_j + k_j) / (n + k) over a face that holds
+    every observation, as integer numerators n_j*q + p_j over one
+    denominator n*q + P, with the parameters k_j = p_j/q over their lcm q."""
+    ps, q = _over_lcm([k.as_integer_ratio() for k in params])
+    shares = [n * q + p for n, p in zip(counts, ps)]
+    return shares, sum(shares)
 
 
 class _Face(NamedTuple):
@@ -230,7 +251,9 @@ def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Frac
     factors into Beta marginals by splitting off one supported type at a
     time (the neutrality of the Dirichlet): type j against all supported
     types after it. Each factor takes its own cheapest exact route, and a
-    vertex, with nothing to split, gives 1.
+    vertex, with nothing to split, gives 1. On a face of more than two
+    types the unobserved ones act as one type whose parameter is their sum
+    (Dirichlet aggregation), so only observed types are split off.
     """
     cts = _as_counts(counts)
     if component.support[-1] >= cts.t:
@@ -248,6 +271,8 @@ def _marginal(
     ns = [counts[j] for j in face.support]
     if sum(ns) != total:
         return ZERO
+    if len(ks) > 2:
+        ks, ns = _aggregated(ks, ns)
     # last split first: zip pairs type j with the running totals of the
     # parameters and counts after it
     factors = [
@@ -259,29 +284,58 @@ def _marginal(
     return reduce(mul, factors) if factors else ONE
 
 
+def _aggregated(
+    ks: Sequence[Fraction], ns: list[int]
+) -> tuple[Sequence[Fraction], list[int]]:
+    # Dirichlet aggregation: the face's unobserved types act as one type
+    # whose parameter is their sum, so only observed types are split off
+    seen = [i for i, n in enumerate(ns) if n]
+    if len(seen) + 1 >= len(ns):
+        return ks, ns
+    unseen = [ks[i].as_integer_ratio() for i, n in enumerate(ns) if not n]
+    nums, den = _over_lcm(unseen)
+    rest = Fraction(sum(nums), den)
+    return [ks[i] for i in seen] + [rest], [ns[i] for i in seen] + [0]
+
+
 def _weighted_marginals(
     counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
-) -> tuple[Fraction, ...]:
-    # weight times sequence marginal per component; a weightless component
-    # is never evaluated
+) -> tuple[list[int], int]:
+    """Weight times sequence marginal per component, as integer numerators
+    over the lcm of the unreduced products' denominators; a weightless
+    component is never evaluated."""
     n = sum(counts)
-    return tuple(
-        c.weight * _marginal(counts, n, c) if c.weight else ZERO for c in components
-    )
+    pairs = []
+    for c in components:
+        m = _marginal(counts, n, c) if c.weight else ZERO
+        if m:
+            w = c.weight
+            pairs.append((w.numerator * m.numerator, w.denominator * m.denominator))
+        else:
+            pairs.append((0, 1))
+    return _over_lcm(pairs)
+
+
+def _posterior_numerators(
+    counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
+) -> tuple[list[int], int]:
+    """Posterior component weights as integer numerators over their sum.
+    Raises ZeroEvidenceProbability when every component dies."""
+    nums, _ = _weighted_marginals(counts, components)
+    total = sum(nums)
+    if total == 0:
+        raise ZeroEvidenceProbability(
+            f"the prior assigns probability 0 to counts {counts}"
+        )
+    return nums, total
 
 
 def _posterior_weights(
     counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
 ) -> tuple[Fraction, ...]:
-    """Posterior component weights: weighted marginals, normalized.
-    Raises ZeroEvidenceProbability when every component dies."""
-    raw = _weighted_marginals(counts, components)
-    total = sum(raw, ZERO)
-    if total == 0:
-        raise ZeroEvidenceProbability(
-            f"the prior assigns probability 0 to counts {counts}"
-        )
-    return tuple(r / total if r else ZERO for r in raw)
+    """Posterior component weights, one Fraction each."""
+    nums, total = _posterior_numerators(counts, components)
+    return tuple(Fraction(a, total) if a else ZERO for a in nums)
 
 
 def _checked(prior: SimplexMixturePrior, counts: CountsLike) -> tuple[int, ...]:
@@ -308,18 +362,27 @@ def mixture_predictive(
     """Next-observation probabilities under the whole mixture: the posterior-
     weighted average of component predictives, each over its own support. A
     vertex adds its weight w at its type; a surviving face, which holds all n
-    observations, adds w * (n_j + k_j) / (n + k_face) at each of its types j."""
+    observations, adds w * (n_j + k_j) / (n + k_face) at each of its types j.
+    Everything is summed as integer numerators over one denominator, and
+    each entry becomes one Fraction."""
     cts = _checked(prior, counts)
-    n = sum(cts)
-    out = [ZERO] * len(cts)
-    for w, comp in zip(_posterior_weights(cts, prior.components), prior.components):
-        if comp.is_vertex:
-            out[comp.support[0]] += w
-        elif w:
-            share = w / (n + sum(comp.params, ZERO))
-            for j, k in zip(comp.support, comp.params):
-                out[j] += (cts[j] + k) * share
-    return tuple(out)
+    nums, total = _posterior_numerators(cts, prior.components)
+    faces = [
+        (a, comp.support, *_face_shares([cts[j] for j in comp.support], comp.params))
+        for a, comp in zip(nums, prior.components)
+        if a and not comp.is_vertex
+    ]
+    den = math.lcm(*{d for *_, d in faces})
+    out = [0] * len(cts)
+    for a, comp in zip(nums, prior.components):
+        if a and comp.is_vertex:
+            out[comp.support[0]] += a * den
+    for a, support, shares, d in faces:
+        scale = a * (den // d)
+        for j, share in zip(support, shares):
+            out[j] += share * scale
+    den *= total
+    return tuple(Fraction(o, den) if o else ZERO for o in out)
 
 
 def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:

@@ -17,7 +17,10 @@ backbone of the suite.
 Urn laws and canonical mixtures are also built the direct way, one
 ``Fraction`` product and sum per term, as the reference for the lab's
 integer-numerator constructions. These two do use the lab's helpers for
-enumerating count classes and checking shapes.
+enumerating count classes and checking shapes. The variation distance,
+the Dirichlet predictive and the mixture predictive are kept in the same
+spirit: the engine's former ``Fraction`` routes, one ``Fraction`` operation
+per term, as the references for its integer routes.
 """
 
 from __future__ import annotations
@@ -25,16 +28,19 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from succession import (
     BinaryPrior,
+    DimensionMismatch,
     SampleTooLarge,
     SequenceLaw,
     SimplexMixturePrior,
     UrnComposition,
+    ZeroEvidenceProbability,
+    sequence_marginal,
 )
-from succession.exact import ZERO, falling
+from succession.exact import ZERO, as_rational, falling
 from succession.lab import _check_shape, _compositions, _whole
 
 
@@ -250,3 +256,76 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
             total += term
         table[counts] = total
     return SequenceLaw.from_class_probabilities(law.t, k, table)
+
+
+def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
+    """Sum over all sequences of |P_a - P_b|, one Fraction subtraction and
+    product per count class when both laws are exchangeable."""
+    if a.t != b.t or a.length != b.length:
+        raise DimensionMismatch(
+            f"laws of shape ({a.t}, {a.length}) and ({b.t}, {b.length})"
+        )
+    ta, tb = a.class_table(), b.class_table()
+    if ta is not None and tb is not None:
+        return sum(
+            (
+                factorial(a.length)
+                // prod(factorial(c) for c in counts)
+                * abs(ta[counts] - tb[counts])
+                for counts in ta
+            ),
+            ZERO,
+        )
+    return sum(
+        (abs(pa - pb) for pa, pb in zip(a.probabilities, b.probabilities)),
+        ZERO,
+    )
+
+
+def dirichlet_predictive(counts: tuple[int, ...], params) -> tuple[Fraction, ...]:
+    """(n_j + k_j) / (n + k) for each type j, one Fraction division each."""
+    ps = tuple(as_rational(p) for p in params)
+    if len(ps) != len(counts):
+        raise DimensionMismatch(
+            f"{len(ps)} parameters for {len(counts)} outcome types"
+        )
+    if any(p <= 0 for p in ps):
+        raise ValueError("Dirichlet parameters must be positive")
+    denom = sum(counts) + sum(ps)
+    return tuple((counts[j] + ps[j]) / denom for j in range(len(counts)))
+
+
+def fraction_posterior_weights(
+    prior: SimplexMixturePrior, counts: tuple[int, ...]
+) -> tuple[Fraction, ...]:
+    """Posterior component weights as weighted marginals over their sum,
+    one Fraction product and division per component."""
+    raw = tuple(
+        c.weight * sequence_marginal(counts, c) if c.weight else ZERO
+        for c in prior.components
+    )
+    total = sum(raw, ZERO)
+    if total == 0:
+        raise ZeroEvidenceProbability(
+            f"the prior assigns probability 0 to counts {counts}"
+        )
+    return tuple(r / total if r else ZERO for r in raw)
+
+
+def fraction_mixture_predictive(
+    prior: SimplexMixturePrior, counts: tuple[int, ...]
+) -> tuple[Fraction, ...]:
+    """The mixture predictive with a Fraction at every step: each
+    component's predictive added over its own support, weighted by
+    :func:`fraction_posterior_weights`."""
+    n = sum(counts)
+    out = [ZERO] * len(counts)
+    weights = fraction_posterior_weights(prior, counts)
+    for w, comp in zip(weights, prior.components):
+        if comp.is_vertex:
+            out[comp.support[0]] += w
+        elif w:
+            share = w / (n + sum(comp.params, ZERO))
+            for j, k in zip(comp.support, comp.params):
+                out[j] += (counts[j] + k) * share
+    return tuple(out)

@@ -508,6 +508,32 @@ class TestExitCodes:
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        (("--beta", "1/2", "--n", "10", "--block", "100000000000"), "100000000000"),
+        (("--alpha", "1/2", "--beta", "1/2", "--n", "1000000000"), "1000000000"),
+    ],
+)
+def test_untelescoped_products_exit_4_fast(argv, terms):
+    # a non-integer parameter leaves no short route: the product would need
+    # every term, and the term cap refuses it before the first
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "succession", "predict", "--rule", "laplace", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: ResourceLimit: a rising factorial of {terms} terms exceeds the "
+        "cap of 10000 terms\n"
+    )
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [

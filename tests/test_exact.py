@@ -1,11 +1,13 @@
+import math
 import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from succession import exact
+from succession import ResourceLimit, TableTooLarge, exact
 from succession.exact import (
+    MAX_RISING_TERMS,
     all_success_probability,
     as_rational,
     beta_sequence_marginal,
@@ -67,6 +69,40 @@ class TestRisingFalling:
             rising(F(1), -1)
         with pytest.raises(ValueError):
             falling(3, -1)
+
+    def test_term_cap(self):
+        assert rising(F(1), MAX_RISING_TERMS) == math.factorial(MAX_RISING_TERMS)
+        for count in (MAX_RISING_TERMS + 1, 10**11, 10**100):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimit) as raised:
+                rising(F(1, 2), count)
+            assert time.perf_counter() - start < 0.05
+            assert str(raised.value) == (
+                f"a rising factorial of {count} terms exceeds the cap of "
+                f"{MAX_RISING_TERMS} terms"
+            )
+
+    def test_capped_kernels_refuse_before_the_work(self):
+        # a non-integer gap cannot telescope, so both sides need every term
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit):
+            rising_ratio(F(1, 2), F(1), 10**11)
+        with pytest.raises(ResourceLimit):
+            beta_sequence_marginal(F(1, 2), F(1, 2), 10**9, 0)
+        # every route: each tally fits the cap, the product it divides by
+        # does not
+        cap = MAX_RISING_TERMS
+        for alpha, beta, a, b in (
+            (F(1), F(1), cap // 2 + 1, cap // 2 + 1),
+            (F(1, 2), F(1), 2 * cap, cap),
+            (F(1), F(1, 3), cap, 2 * cap),
+        ):
+            with pytest.raises(ResourceLimit):
+                beta_sequence_marginal(alpha, beta, a, b)
+        assert time.perf_counter() - start < 0.05
+
+    def test_table_cap_is_a_resource_limit(self):
+        assert issubclass(TableTooLarge, ResourceLimit)
 
 
 class TestRisingRatio:

@@ -257,6 +257,38 @@ class TestLawFromPredictive:
         with pytest.raises(InvalidRule):
             law_from_predictive(lambda c: (0.5, 0.5), 2, 2)
 
+    @pytest.mark.parametrize(
+        "output, message",
+        [
+            ((F(1, 2),), "returned 1 entries for 2 symbols"),
+            ((F(1, 2), F(1, 2), F(0)), "returned 3 entries for 2 symbols"),
+            ((F(3, 2), F(-1, 2)), "returned a negative probability"),
+            ((F(1, 2), F(1, 3)), "returned entries not summing to 1"),
+            ((F(2, 3), F(2, 3)), "returned entries not summing to 1"),
+            ((0.5, 0.5), "returned non-rational entries"),
+            (("x", F(1, 2)), "returned non-rational entries"),
+        ],
+    )
+    def test_invalid_rule_messages(self, output, message):
+        def bad_rule(counts):
+            return output
+
+        for check in (
+            lambda: law_from_predictive(bad_rule, 2, 2),
+            lambda: sufficientness_witness(bad_rule, 2, 1),
+        ):
+            with pytest.raises(InvalidRule) as raised:
+                check()
+            assert str(raised.value) == f"bad_rule {message}"
+
+    def test_string_and_integer_entries_accepted(self):
+        law = law_from_predictive(lambda counts: ("1/2", "0.5"), 2, 3)
+        assert law.class_table() == {
+            counts: F(1, 8) for counts in _compositions(3, 2)
+        }
+        law = law_from_predictive(lambda counts: (1, 0), 2, 2)
+        assert law.probabilities == (1, 0, 0, 0)
+
     def test_table_cap(self):
         with pytest.raises(TableTooLarge):
             law_from_predictive(laplace_rule, 2, 21)
@@ -605,6 +637,27 @@ class TestVariationDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             variation_distance(LAPLACE_2, MARKOV_3)
+
+    def test_integer_route_equals_fraction_route_on_criterion_11_grid(self):
+        checked = 0
+        for t in (2, 3):
+            for total in range(1, 13):
+                for colors in _compositions(total, t):
+                    urn = UrnComposition(colors)
+                    full = urn_law(urn, total)
+                    for k in range(1, total + 1):
+                        a, b = urn_law(urn, k), canonical_mixture(full, k)
+                        assert variation_distance(a, b) == (
+                            oracles.variation_distance(a, b)
+                        )
+                        checked += 1
+        assert checked == 4823
+
+    def test_mixed_storage_equals_fraction_route(self):
+        class_law = urn_law(UrnComposition((2, 3)), 3)
+        for other in (MARKOV_3, law_from_predictive(laplace_rule, 2, 3), class_law):
+            for a, b in ((class_law, other), (other, class_law)):
+                assert variation_distance(a, b) == oracles.variation_distance(a, b)
 
     @given(
         weights_a=st.lists(st.integers(0, 9), min_size=4, max_size=4),

@@ -143,6 +143,23 @@ class TestSinglePredictives:
         with pytest.raises(DimensionMismatch):
             dirichlet_predictive((1, 2), (1, 1, 1))
 
+    @given(
+        counts=st.lists(st.integers(0, 9), min_size=2, max_size=6),
+        params=st.lists(
+            st.builds(F, st.integers(1, 12), st.integers(1, 7)), min_size=6, max_size=6
+        ),
+    )
+    def test_integer_route_equals_fraction_route(self, counts, params):
+        counts = tuple(counts)
+        params = tuple(params[: len(counts)])
+        assert dirichlet_predictive(counts, params) == oracles.dirichlet_predictive(
+            counts, params
+        )
+        lam = params[0]
+        assert carnap_predictive(counts, lam) == oracles.dirichlet_predictive(
+            counts, (lam / len(counts),) * len(counts)
+        )
+
     def test_posterior_concentration_bound(self):
         # the predictive sits within k/(n+k) of the empirical frequency
         params = (F(2), F(1), F(3))
@@ -200,6 +217,30 @@ class TestSequenceMarginal:
                             tuple(int(k) for k in ks),
                             tuple(counts[j] for j in support),
                         )
+
+    @given(st.data())
+    def test_sparse_counts_match_oracle_up_to_t_50(self, data):
+        # the unobserved types of a face act as one type whose parameter is
+        # their sum; the oracles split off nothing
+        t = data.draw(st.integers(3, 50))
+        integer = data.draw(st.booleans())
+        denominators = st.just(1) if integer else st.integers(1, 4)
+        params = tuple(
+            data.draw(st.builds(F, st.integers(1, 5), denominators)) for _ in range(t)
+        )
+        observed = data.draw(
+            st.lists(st.integers(0, t - 1), max_size=min(t, 4), unique=True)
+        )
+        counts = [0] * t
+        for j in observed:
+            counts[j] = data.draw(st.integers(1, 4))
+        counts = tuple(counts)
+        comp = DirichletComponent.full(params, 1)
+        if integer:
+            want = oracles.dirichlet_marginal(tuple(int(k) for k in params), counts)
+        else:
+            want = oracles.polya_marginal(params, counts)
+        assert sequence_marginal(counts, comp) == want
 
     def test_order_invariance_is_structural(self):
         # the marginal takes counts, not sequences, so permuting a sample
@@ -317,6 +358,52 @@ class TestMixturePredictive:
     @given(mixtures_with_counts())
     def test_matches_oracle_ratio_of_marginals(self, case):
         _assert_matches_oracle(*case)
+
+    @given(mixtures_with_counts())
+    def test_integer_route_equals_fraction_route(self, case):
+        # rational parameters, zero weights and dead components included
+        prior, counts = case
+        try:
+            weights = oracles.fraction_posterior_weights(prior, counts)
+        except ZeroEvidenceProbability as exc:
+            for engine in (mixture_posterior, mixture_predictive):
+                with pytest.raises(ZeroEvidenceProbability) as raised:
+                    engine(prior, counts)
+                assert str(raised.value) == str(exc)
+            return
+        assert mixture_posterior(prior, counts) == weights
+        assert mixture_predictive(prior, counts) == (
+            oracles.fraction_mixture_predictive(prior, counts)
+        )
+
+    def test_zero_evidence_message(self):
+        two_vertices = SimplexMixturePrior(
+            2,
+            (
+                DirichletComponent.vertex(0, F(1, 2)),
+                DirichletComponent.vertex(1, F(1, 2)),
+            ),
+        )
+        with pytest.raises(ZeroEvidenceProbability) as raised:
+            mixture_predictive(two_vertices, (1, 1))
+        assert str(raised.value) == "the prior assigns probability 0 to counts (1, 1)"
+
+    def test_hintikka_at_a_hundred_thousand_types(self):
+        # the flat face's unobserved types act as one: only observed types
+        # are split off, so the cost is O(t) integer work
+        t = 10**5
+        prior = SimplexMixturePrior.hintikka_default(t)
+        counts = [0] * t
+        counts[3], counts[70_000] = 2, 5
+        start = time.perf_counter()
+        uniform = mixture_predictive(prior, (0,) * t)
+        pred = mixture_predictive(prior, tuple(counts))
+        assert time.perf_counter() - start < 4
+        assert uniform == (F(1, t),) * t
+        # only the flat face survives two observed types: (n_j + 1)/(n + t)
+        assert pred[3] == F(3, 7 + t)
+        assert pred[70_000] == F(6, 7 + t)
+        assert pred[0] == F(1, 7 + t)
 
     @pytest.mark.parametrize(
         "counts", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
