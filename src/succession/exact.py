@@ -121,17 +121,14 @@ def falling(start: int, count: int) -> int:
     """Falling factorial over integers: ``start * (start-1) * ... ``.
 
     Returns 0 when ``count > start``, which is exactly the convention
-    sampling without replacement wants.
+    sampling without replacement wants; a negative ``start`` gives 0 too,
+    except for the empty product at ``count == 0``.
     """
     if count < 0:
         raise ValueError("falling factorial needs a nonnegative term count")
-    out = 1
-    for i in range(count):
-        term = start - i
-        if term <= 0:
-            return 0
-        out *= term
-    return out
+    if start < 0:
+        return int(count == 0)
+    return math.perm(start, count)
 
 
 def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fraction:

@@ -7,20 +7,19 @@ law to a mixture of iid laws) are checked by inspection rather than
 simulation. Tables are capped; the lab is an oracle, not a production
 path.
 
-A law keeps a class table (count vector -> per-sequence probability)
-exactly when it is exchangeable, whichever constructor built it, so
-exchangeability is read off the storage rather than rescanned. Urn laws,
-canonical mixtures and laws from an exchangeable predictive rule are built
-per class and their dense table materializes lazily; a dense table is
-classified in the pass that validates it. Pairwise operations use the class
-form when both operands carry it, which is what makes exhaustive sweeps over
-urns affordable. A predictive rule is walked on the count lattice first;
-only a rule whose law turns out not to be exchangeable gets the dense
-chain-rule table, one entry per sequence. Every table is built from integer
-numerators and denominators and reduced once, at the stored entry: one
-Fraction per entry. A rule's vector is validated as integer numerators over
-the lcm of its denominators, and a distance between two class tables is
-summed over one common denominator.
+A law is integer numerators over one denominator. It keeps them per
+count vector (its class table) exactly when it is exchangeable, whichever
+constructor built it, and per sequence in table order when it was built
+dense; its Fractions are made at the accessors. So exchangeability is read
+off the storage rather than rescanned, and every check and distance runs on
+integers. Urn laws, canonical mixtures and laws from an exchangeable
+predictive rule are built per class; a dense table is classified in the
+pass that validates it. Pairwise operations use the class form when both
+operands carry it, which is what makes exhaustive sweeps over urns
+affordable. A predictive rule is walked on the count lattice first; only a
+rule whose law turns out not to be exchangeable gets the dense chain-rule
+table, one entry per sequence. A rule's vector is validated as integer
+numerators over the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
-from .exact import ZERO, _over_lcm, as_rational, falling, int_string
+from .exact import _over_lcm, as_rational, falling, int_string
 
 __all__ = [
     "SequenceLaw",
@@ -148,11 +147,11 @@ class SequenceLaw:
     significant). Laws known to be constant on permutation classes can be
     built from a per-class table instead via
     :meth:`from_class_probabilities`; they behave identically and the
-    dense view is computed on first use. Either way a law keeps a class
-    table exactly when it is exchangeable.
+    dense view is computed on use. Either way a law keeps a class table
+    exactly when it is exchangeable.
     """
 
-    __slots__ = ("t", "length", "_dense", "_classes")
+    __slots__ = ("t", "length", "_den", "_dense", "_classes")
 
     def __init__(self, t: int, length: int, probabilities: Sequence[Fraction]):
         _check_shape(t, length)
@@ -163,25 +162,22 @@ class SequenceLaw:
             )
         if any(p < 0 for p in dense):
             raise ValueError("probabilities must be nonnegative")
-        self._adopt(t, length, dense)
+        self._adopt(t, length, *_over_lcm([p.as_integer_ratio() for p in dense]))
 
-    def _adopt(self, t: int, length: int, dense: tuple[Fraction, ...]) -> "SequenceLaw":
-        # the dense core: numerators summed per distinct denominator, then
-        # over their lcm in integers; the classification stops at a mismatch
-        by_den: dict[int, int] = {}
-        for p in dense:
-            by_den[p.denominator] = by_den.get(p.denominator, 0) + p.numerator
-        nums, den = _over_lcm([(n, d) for d, n in by_den.items()])
+    def _adopt(self, t: int, length: int, nums: list[int], den: int) -> "SequenceLaw":
+        # the dense core: one integer sum check, then a classification by
+        # numerator that stops at the first mismatch
         if sum(nums) != den:
             raise ValueError("probabilities must sum to exactly 1")
-        classes: dict[tuple[int, ...], Fraction] | None = {}
-        for counts, p in zip(_lex_counts(t, length), dense):
-            if classes.setdefault(counts, p) != p:
+        classes: dict[tuple[int, ...], int] | None = {}
+        for counts, n in zip(_lex_counts(t, length), nums):
+            if classes.setdefault(counts, n) != n:
                 classes = None
                 break
         self.t = t
         self.length = length
-        self._dense: tuple[Fraction, ...] | None = dense
+        self._den = den
+        self._dense: list[int] | None = nums
         self._classes = classes
         return self
 
@@ -222,16 +218,36 @@ class SequenceLaw:
         cls, t: int, length: int, nums: dict[tuple[int, ...], int], den: int
     ) -> "SequenceLaw":
         # the class core: numerators over one denominator sum to 1 in one
-        # integer comparison, and each entry is reduced once
+        # integer comparison and are stored as they are
         factorials = _factorials(length)
         if sum(n * _multiplicity(c, factorials) for c, n in nums.items() if n) != den:
             raise ValueError("probabilities must sum to exactly 1")
         law = cls.__new__(cls)
         law.t = t
         law.length = length
+        law._den = den
         law._dense = None
-        law._classes = {c: Fraction(n, den) for c, n in nums.items()}
+        law._classes = nums
         return law
+
+    def _numerators(self) -> Sequence[int]:
+        # one numerator per sequence in table order
+        if self._dense is not None:
+            return self._dense
+        return list(map(self._classes.__getitem__, _lex_counts(self.t, self.length)))
+
+    def _count_numerators(self) -> dict[tuple[int, ...], int]:
+        # numerator of the mass of each count vector, over the law's denominator
+        if self._classes is not None:
+            factorials = _factorials(self.length)
+            return {
+                c: n * _multiplicity(c, factorials) if n else 0
+                for c, n in self._classes.items()
+            }
+        out = dict.fromkeys(_compositions(self.length, self.t), 0)
+        for counts, n in zip(_lex_counts(self.t, self.length), self._dense):
+            out[counts] += n
+        return out
 
     def probability(self, sequence: Sequence[int]) -> Fraction:
         """Probability of one full sequence."""
@@ -246,21 +262,19 @@ class SequenceLaw:
             counts = [0] * self.t
             for s in seq:
                 counts[s] += 1
-            return self._classes[tuple(counts)]
+            return Fraction(self._classes[tuple(counts)], self._den)
         index = 0
         for s in seq:
             index = index * self.t + s
-        assert self._dense is not None
-        return self._dense[index]
+        return Fraction(self._dense[index], self._den)
 
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
         """Dense table in lexicographic sequence order."""
-        if self._dense is None:
-            assert self._classes is not None
-            lookup = self._classes.__getitem__
-            self._dense = tuple(map(lookup, _lex_counts(self.t, self.length)))
-        return self._dense
+        table = self.class_table()
+        if table is None:
+            return tuple(Fraction(n, self._den) for n in self._dense)
+        return tuple(map(table.__getitem__, _lex_counts(self.t, self.length)))
 
     def sequences(self) -> Iterator[tuple[int, ...]]:
         """All sequences in table order."""
@@ -275,21 +289,13 @@ class SequenceLaw:
         law is not exchangeable."""
         if self._classes is None:
             return None
-        return dict(self._classes)
+        return {c: Fraction(n, self._den) for c, n in self._classes.items()}
 
     def count_distribution(self) -> dict[tuple[int, ...], Fraction]:
         """Distribution of the empirical count vector: probability that the
         ``length`` draws realize each composition."""
-        if self._classes is not None:
-            factorials = _factorials(self.length)
-            return {
-                c: p * _multiplicity(c, factorials) if p else p
-                for c, p in self._classes.items()
-            }
-        out = dict.fromkeys(_compositions(self.length, self.t), ZERO)
-        for counts, p in zip(_lex_counts(self.t, self.length), self.probabilities):
-            out[counts] += p
-        return out
+        den = self._den
+        return {c: Fraction(n, den) for c, n in self._count_numerators().items()}
 
     def __repr__(self) -> str:
         kind = "classes" if self._classes is not None else "dense"
@@ -367,7 +373,7 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     predecessors disagree, the law is not exchangeable and the construction
     falls back to the dense table, one entry per sequence, reusing the
     predictions already made. Both walks multiply integer numerators and
-    denominators; each stored entry is reduced once.
+    denominators and put the table over the lcm of its denominators.
     """
     _check_shape(t, length)
     name = getattr(rule, "__name__", "rule")
@@ -395,9 +401,7 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
             for child_d in [d * den]
             for a in vec
         ]
-    for i, (n, d) in enumerate(level):  # in place, so one table is live
-        level[i] = Fraction(n, d)
-    return SequenceLaw.__new__(SequenceLaw)._adopt(t, length, tuple(level))
+    return SequenceLaw.__new__(SequenceLaw)._adopt(t, length, *_over_lcm(level))
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:
@@ -410,9 +414,9 @@ def is_exchangeable(law: SequenceLaw) -> bool:
 def has_positive_cylinders(law: SequenceLaw) -> bool:
     """True iff every sequence (hence every cylinder of outcomes) has
     strictly positive probability."""
-    # every stored entry is nonnegative, so positive means nonzero
+    # every stored numerator is nonnegative, so positive means nonzero
     table = law._classes
-    return all(table.values() if table is not None else law.probabilities)
+    return all(table.values() if table is not None else law._dense)
 
 
 def sufficientness_witness(
@@ -522,19 +526,18 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
     if not _whole(k) or not 1 <= k <= law.length:
         raise ValueError("k must satisfy 1 <= k <= law.length")
     n = law.length
-    weights = {m: w for m, w in law.count_distribution().items() if w != 0}
-    mixing, den = _over_lcm([w.as_integer_ratio() for w in weights.values()])
-    # a class gets sum_m mixing_m * prod_j m_j**c_j over den * n**k
+    mixing = {m: w for m, w in law._count_numerators().items() if w}
+    # a class gets sum_m mixing_m * prod_j m_j**c_j over law._den * n**k
     nums: dict[tuple[int, ...], int] = {}
     for counts in _compositions(k, law.t):
         total = 0
-        for m, term in zip(weights, mixing):
+        for m, term in mixing.items():
             for m_j, c_j in zip(m, counts):
                 if c_j:
                     term *= m_j**c_j
             total += term
         nums[counts] = total
-    return SequenceLaw._from_numerators(law.t, k, nums, den * n**k)
+    return SequenceLaw._from_numerators(law.t, k, nums, law._den * n**k)
 
 
 def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
@@ -544,25 +547,18 @@ def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
         raise DimensionMismatch(
             f"laws of shape ({a.t}, {a.length}) and ({b.t}, {b.length})"
         )
+    # both numerators over L = lcm(den_a, den_b): |difference| times the
+    # number of sequences it stands for, summed in integers and reduced once
+    den = math.lcm(a._den, b._den)
+    scale_a, scale_b = den // a._den, den // b._den
     ta, tb = a._classes, b._classes
     if ta is not None and tb is not None:
-        # both tables over one lcm: |difference| times multiplicity is summed
-        # in integers and reduced once
-        den = math.lcm(*{p.denominator for p in (*ta.values(), *tb.values())})
         factorials = _factorials(a.length)
-        total = 0
-        for c, pa in ta.items():
-            pb = tb[c]
-            diff = pa.numerator * (den // pa.denominator) - pb.numerator * (
-                den // pb.denominator
-            )
-            if diff:
-                total += abs(diff) * _multiplicity(c, factorials)
-        return Fraction(total, den)
-    return sum(
-        (abs(pa - pb) for pa, pb in zip(a.probabilities, b.probabilities)),
-        ZERO,
-    )
+        rows = ((n, tb[c], _multiplicity(c, factorials)) for c, n in ta.items())
+    else:
+        rows = zip(a._numerators(), b._numerators(), itertools.repeat(1))
+    total = sum(abs(na * scale_a - nb * scale_b) * m for na, nb, m in rows)
+    return Fraction(total, den)
 
 
 def df_bound(t: int, k: int, n: int) -> Fraction:
@@ -592,13 +588,13 @@ def admits_exchangeable_extension(law: SequenceLaw) -> bool:
     if not is_exchangeable(law):
         raise ValueError("the law must be exchangeable")
     L = law.length
-    q = [law._classes[(L - j, j)] for j in range(L + 1)]
-    # q'_j = (-1)^j x + c_j with c_0 = 0 and c_{j+1} = q_j - c_j
-    lower = ZERO  # from j = 0: x >= 0
-    upper: Fraction | None = None
-    c = ZERO
+    # q'_j = (-1)^j x + c_j with c_0 = 0 and c_{j+1} = q_j - c_j, on the
+    # numerators q_j: one positive scale for all of them moves no comparison
+    lower = 0  # from j = 0: x >= 0
+    upper: int | None = None
+    c = 0
     for j in range(L + 1):
-        c = q[j] - c
+        c = law._classes[(L - j, j)] - c
         if (j + 1) % 2 == 0:
             lower = max(lower, -c)
         else:

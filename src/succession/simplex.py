@@ -164,7 +164,8 @@ class SimplexMixturePrior:
                 raise DimensionMismatch(
                     f"support index {comp.support[-1]} out of range for t={self.t}"
                 )
-        if sum((c.weight for c in self.components), ZERO) != 1:
+        nums, den = _over_lcm([c.weight.as_integer_ratio() for c in self.components])
+        if sum(nums) != den:
             raise ValueError("component weights must sum to exactly 1")
 
     @classmethod

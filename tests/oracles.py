@@ -16,11 +16,13 @@ backbone of the suite.
 
 Urn laws and canonical mixtures are also built the direct way, one
 ``Fraction`` product and sum per term, as the reference for the lab's
-integer-numerator constructions. These two do use the lab's helpers for
-enumerating count classes and checking shapes. The variation distance,
-the Dirichlet predictive and the mixture predictive are kept in the same
-spirit: the engine's former ``Fraction`` routes, one ``Fraction`` operation
-per term, as the references for its integer routes.
+integer-numerator constructions; the urn's falling factorials are
+factorial quotients. These two do use the lab's helpers for enumerating
+count classes and checking shapes. The variation distance, the count
+distribution, the extension test, the Dirichlet predictive and the mixture
+predictive are kept in the same spirit: the engine's former ``Fraction``
+routes, one ``Fraction`` operation per term, read through the public
+accessors, as the references for its integer routes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from succession import (
     ZeroEvidenceProbability,
     sequence_marginal,
 )
-from succession.exact import ZERO, as_rational, falling
+from succession.exact import ZERO, as_rational
 from succession.lab import _check_shape, _compositions, _whole
 
 
@@ -201,6 +203,14 @@ def table_is_exchangeable(table: tuple[Fraction, ...], t: int, length: int) -> b
     return True
 
 
+def falling(start: int, count: int) -> int:
+    """start * (start-1) * ... over ``count`` terms, as a factorial
+    quotient; 0 when the terms run out."""
+    if count > start:
+        return 0
+    return factorial(start) // factorial(start - count)
+
+
 def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
     """Law of k ordered draws without replacement: a sequence with count
     vector c has probability prod_j falling(colors_j, c_j) / falling(N, k),
@@ -280,6 +290,45 @@ def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
         (abs(pa - pb) for pa, pb in zip(a.probabilities, b.probabilities)),
         ZERO,
     )
+
+
+def count_distribution(law: SequenceLaw) -> dict[tuple[int, ...], Fraction]:
+    """The mass of each count vector, one Fraction product per class or one
+    Fraction sum per sequence."""
+    table = law.class_table()
+    if table is not None:
+        return {
+            c: p * (factorial(law.length) // prod(factorial(m) for m in c)) if p else p
+            for c, p in table.items()
+        }
+    out = dict.fromkeys(_compositions(law.length, law.t), ZERO)
+    for seq, p in law.items():
+        out[tuple(seq.count(s) for s in range(law.t))] += p
+    return out
+
+
+def admits_exchangeable_extension(law: SequenceLaw) -> bool:
+    """Whether a binary exchangeable law of length L extends to length
+    L+1, on Fractions: q'_j = (-1)^j x + c_j must be nonnegative for all j,
+    and the half-lines in x must meet."""
+    if law.t != 2:
+        raise ValueError("extension analysis is implemented for t = 2 only")
+    table = law.class_table()
+    if table is None:
+        raise ValueError("the law must be exchangeable")
+    L = law.length
+    q = [table[(L - j, j)] for j in range(L + 1)]
+    lower = ZERO  # from j = 0: x >= 0
+    upper: Fraction | None = None
+    c = ZERO
+    for j in range(L + 1):
+        c = q[j] - c
+        if (j + 1) % 2 == 0:
+            lower = max(lower, -c)
+        else:
+            upper = c if upper is None else min(upper, c)
+    assert upper is not None
+    return lower <= upper
 
 
 def dirichlet_predictive(counts: tuple[int, ...], params) -> tuple[Fraction, ...]:

@@ -64,6 +64,14 @@ class TestRisingFalling:
         assert falling(5, 2) == 20
         assert falling(2, 5) == 0  # runs out of terms
 
+    def test_falling_equals_the_term_loop(self):
+        for start in range(-3, 31):
+            for count in range(36):
+                expected = 1
+                for i in range(count):
+                    expected *= max(start - i, 0)
+                assert falling(start, count) == expected, (start, count)
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             rising(F(1), -1)

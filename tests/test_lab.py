@@ -564,6 +564,18 @@ class TestUrns:
         assert dist[(3, 2)] == 1
 
 
+def _assert_matches_fraction_routes(law):
+    # count distribution (entries and order) and extension test against
+    # their former Fraction routes, kept in oracles
+    assert list(law.count_distribution().items()) == list(
+        oracles.count_distribution(law).items()
+    )
+    if law.t == 2 and is_exchangeable(law):
+        assert admits_exchangeable_extension(law) == (
+            oracles.admits_exchangeable_extension(law)
+        )
+
+
 class TestCanonicalMixture:
     def test_two_ball_urn_frozen_distance(self):
         law = urn_law(UrnComposition((1, 1)), 2)
@@ -604,14 +616,14 @@ class TestCanonicalMixture:
                 reference = oracles.urn_law(urn, total)
                 assert full.class_table() == reference.class_table()
                 for k in range(1, total + 1):
+                    law, mixed = urn_law(urn, k), canonical_mixture(full, k)
+                    assert law.class_table() == oracles.urn_law(urn, k).class_table()
                     assert (
-                        urn_law(urn, k).class_table()
-                        == oracles.urn_law(urn, k).class_table()
-                    )
-                    assert (
-                        canonical_mixture(full, k).class_table()
+                        mixed.class_table()
                         == oracles.canonical_mixture(reference, k).class_table()
                     )
+                    _assert_matches_fraction_routes(law)
+                    _assert_matches_fraction_routes(mixed)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -748,3 +760,75 @@ class TestMultiplicityConsistency:
             * 1
             for counts in table
         ) == 2**4
+
+
+def _run_rule(t):
+    # seeing type 0 makes it likelier, other types leave it alone: not
+    # exchangeable, and every sequence keeps a positive probability
+    def rule(counts):
+        den = counts[0] + t
+        return (F(counts[0] + 1, den),) + (F(1, den),) * (t - 1)
+
+    return rule
+
+
+def _accessor_laws():
+    urn = urn_law(UrnComposition((3, 2)), 3)
+    return {
+        "urn": urn,
+        "laplace": law_from_predictive(laplace_rule, 3, 3),
+        "two-point": law_from_predictive(two_point_rule, 2, 3),
+        "certain": urn_law(UrnComposition((3, 0)), 2),
+        "markov": MARKOV_3,
+        "run": law_from_predictive(_run_rule(2), 2, 3),
+        "dense-exchangeable": SequenceLaw(2, 3, urn.probabilities),
+        "dense-certain": SequenceLaw(2, 2, (1, 0, 0, 0)),
+    }
+
+
+class TestAccessorTypes:
+    """Every accessor hands out Fractions, whatever the law stores."""
+
+    @pytest.mark.parametrize("name", list(_accessor_laws()))
+    def test_accessors_return_fractions(self, name):
+        law = _accessor_laws()[name]
+        exchangeable = name not in ("markov", "run")
+        assert is_exchangeable(law) == exchangeable
+        values = [law.probability(seq) for seq in law.sequences()]
+        values += law.probabilities
+        values += [p for _, p in law.items()]
+        values += law.count_distribution().values()
+        if exchangeable:
+            values += law.class_table().values()
+        else:
+            assert law.class_table() is None
+        size = law.t**law.length
+        uniform = SequenceLaw(law.t, law.length, [F(1, size)] * size)
+        values += [variation_distance(law, law), variation_distance(law, uniform)]
+        assert values and all(type(v) is F for v in values)
+
+
+class TestFractionReferences:
+    """The count distribution and the extension test against their former
+    Fraction routes on dense laws; criterion 11's grid is checked with the
+    urn laws and mixtures in TestCanonicalMixture."""
+
+    @pytest.mark.parametrize("t,length", [(2, 2), (2, 6), (2, 10), (3, 2), (3, 5)])
+    def test_dense_run_rule_laws(self, t, length):
+        law = law_from_predictive(_run_rule(t), t, length)
+        assert not is_exchangeable(law)
+        _assert_matches_fraction_routes(law)
+        for extension in (
+            admits_exchangeable_extension,
+            oracles.admits_exchangeable_extension,
+        ):
+            with pytest.raises(ValueError):
+                extension(law)
+
+    def test_dense_exchangeable_laws(self):
+        for colors in ((1, 1), (2, 3), (4, 1), (2, 2, 1)):
+            urn = UrnComposition(colors)
+            for k in range(1, urn.total + 1):
+                law = SequenceLaw(urn.t, k, urn_law(urn, k).probabilities)
+                assert is_exchangeable(law)
+                _assert_matches_fraction_routes(law)

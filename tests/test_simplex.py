@@ -103,6 +103,18 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             SimplexMixturePrior(2, (DirichletComponent.vertex(5, F(1)),))
 
+    def test_weights_summing_to_one_over_large_coprime_denominators(self):
+        # the two primes after 10**30; the third weight is over their product
+        first, second = F(1, 10**30 + 57), F(1, 10**30 + 99)
+        weights = (first, second, 1 - first - second)
+        comps = tuple(DirichletComponent.vertex(j, w) for j, w in enumerate(weights))
+        assert SimplexMixturePrior(3, comps).components == comps
+        off = (first, second, weights[2] - F(1, 10**30))
+        comps = tuple(DirichletComponent.vertex(j, w) for j, w in enumerate(off))
+        with pytest.raises(ValueError) as raised:
+            SimplexMixturePrior(3, comps)
+        assert str(raised.value) == "component weights must sum to exactly 1"
+
     def test_hintikka_default_shape(self):
         prior = SimplexMixturePrior.hintikka_default(4)
         assert len(prior.components) == 5
