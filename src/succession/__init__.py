@@ -13,14 +13,14 @@ Three layers, all in exact rational arithmetic:
   by inspection.
 
 The ``succession`` command line fronts the same machinery. The package
-re-exports the ``__all__`` of each layer and of ``errors``, plus three
+re-exports the ``__all__`` of each layer and of ``errors``, plus two
 names from ``exact``.
 """
 
 from . import binary, errors, lab, simplex
 from .binary import *
 from .errors import *
-from .exact import Rational, as_rational, decimal_string
+from .exact import as_rational, decimal_string
 from .lab import *
 from .simplex import *
 
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Rational",
     "as_rational",
     "decimal_string",
     *errors.__all__,

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoContinuousComponent, UGFalsified
-from .exact import ONE, ZERO, RationalLike, all_success_probability, as_rational
+from .errors import UGFalsified
+from .exact import ONE, ZERO, RationalLike, _whole, all_success_probability, as_rational
 from .simplex import _binary_faces, _posterior_weights, _weighted_marginals
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "predict_block",
     "exception_probability",
     "prior_odds_adjustment",
-    "posterior_theta_params",
 ]
 
 
@@ -55,7 +54,7 @@ class Evidence:
     def __post_init__(self) -> None:
         for name in ("confirm", "disconfirm"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _whole(v) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
 
     @property
@@ -122,6 +121,21 @@ class BinaryPrior:
         if d <= 0:
             raise ValueError("prior odds must be positive")
         return cls(d / (1 + d), ZERO, 1 / (1 + d), as_rational(alpha), ONE)
+
+    def with_prior_odds(self, odds: RationalLike) -> "BinaryPrior":
+        """This prior at prior odds ``odds`` for its point masses against
+        its continuous part, with the ratio of the two points kept: each
+        point mass m becomes m*d/((1+d)*point), for d = odds and point the
+        total point mass, and the continuous mass 1/(1+d)."""
+        d = as_rational(odds)
+        if d <= 0:
+            raise ValueError("prior odds must be positive")
+        point = self.mass_theta1 + self.mass_theta0
+        if point == 0:
+            raise ValueError("the prior has no point mass for prior odds to weigh")
+        scale = d / ((1 + d) * point)
+        return BinaryPrior(self.mass_theta1 * scale, self.mass_theta0 * scale,
+                           1 / (1 + d), self.alpha, self.beta)
 
 
 def marginal_likelihood(prior: BinaryPrior, ev: Evidence) -> Fraction:
@@ -193,7 +207,7 @@ def predict_block(prior: BinaryPrior, ev: Evidence, horizon: int) -> Fraction:
     contribute 1 (theta=1) and 0 (theta=0). Equal, term by term, to the
     product of predict_next over the lengthening record.
     """
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
+    if not _whole(horizon):
         raise ValueError("horizon must be an integer")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -241,22 +255,7 @@ def prior_odds_adjustment(odds: RationalLike, n: int) -> Fraction:
     d = as_rational(odds)
     if d <= 0:
         raise ValueError("prior odds must be positive")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _whole(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     return (d * (n + 2) + 1) / (d * (n + 1) + 1)
 
-
-def posterior_theta_params(
-    prior: BinaryPrior, ev: Evidence
-) -> tuple[Fraction, Fraction]:
-    """Shape parameters of the continuous part after conditioning:
-    (alpha + confirm, beta + disconfirm).
-
-    Raises NoContinuousComponent when the prior has no continuous part to
-    update. Conjugacy means no other state ever needs tracking.
-    """
-    if prior.mass_continuous == 0:
-        raise NoContinuousComponent(
-            "the prior places no mass on the continuous component"
-        )
-    return prior.alpha + ev.confirm, prior.beta + ev.disconfirm

@@ -27,7 +27,7 @@ import sys
 from argparse import ArgumentTypeError
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 from .binary import BinaryPrior, Evidence, predict_block, predict_next
 from .errors import ResourceLimit, SuccessionError, UGFalsified, ZeroEvidenceProbability
@@ -61,27 +61,12 @@ URN_LISTING_CAP = 256
 EXIT_CODES = {ZeroEvidenceProbability: 3, UGFalsified: 3, ResourceLimit: 4}
 
 
-def _split_from_odds(odds: Fraction, alpha: Fraction) -> BinaryPrior:
-    # the odds' point mass split evenly over both points
-    share = odds / (2 * (1 + odds))
-    return BinaryPrior(share, share, 1 / (1 + odds), alpha, ONE)
-
-
-class NamedPrior(NamedTuple):
-    """A named binary rule: its prior from alpha, its prior from prior odds
-    and alpha (None when it has no point mass for the odds to weigh), and
-    whether it takes ``--beta``."""
-
-    plain: Callable[[Fraction], BinaryPrior]
-    from_odds: Callable[[Fraction, Fraction], BinaryPrior] | None
-    takes_beta: bool
-
-
-NAMED_PRIORS: dict[str, NamedPrior] = {
-    "laplace": NamedPrior(BinaryPrior.laplace, None, True),
-    "haldane": NamedPrior(BinaryPrior.haldane, BinaryPrior.from_prior_odds, False),
-    "jeffreys-split": NamedPrior(BinaryPrior.jeffreys_split, _split_from_odds, False),
+NAMED_PRIORS: dict[str, Callable[[Fraction], BinaryPrior]] = {
+    "laplace": BinaryPrior.laplace,
+    "haldane": BinaryPrior.haldane,
+    "jeffreys-split": BinaryPrior.jeffreys_split,
 }
+TAKES_BETA = ("laplace", "general")
 BINARY_RULES = (*NAMED_PRIORS, "general")
 LAB_RULES = ("dirichlet", "carnap", "hintikka", *NAMED_PRIORS)
 
@@ -238,10 +223,9 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
     """Construct the BinaryPrior a subcommand asked for, plus an input echo."""
     _need(args, "rule")
     rule, alpha, beta, odds = args.rule, args.alpha, args.beta, args.prior_odds
-    named = NAMED_PRIORS.get(rule)  # None for general
     masses = (args.mass1, args.mass0, args.mass_cont)
     echo: dict[str, str] = {}
-    if named is None:
+    if rule == "general":
         if any(m is None for m in masses):
             raise ValueError("--rule general needs --mass1, --mass0, and --mass-cont")
         if odds is not None:
@@ -250,19 +234,19 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
         echo = dict(zip(("mass1", "mass0", "mass_cont"), map(_text, masses)))
     elif any(m is not None for m in masses):
         raise ValueError("--mass1/--mass0/--mass-cont require --rule general")
-    elif not named.takes_beta and beta != 1:
+    elif rule not in TAKES_BETA and beta != 1:
         raise ValueError(f"rule {rule!r} is defined with beta = 1")
-    elif odds is None:
-        # beta is 1 unless the rule takes it (checked above)
-        prior = replace(named.plain(alpha), beta=beta)
-    elif named.from_odds is None:
-        raise ValueError(f"--prior-odds is meaningless for {rule} "
-                         "(no mass on the no-exceptions hypothesis)")
     else:
-        prior = named.from_odds(odds, alpha)
+        # beta is 1 unless the rule takes it (checked above)
+        prior = replace(NAMED_PRIORS[rule](alpha), beta=beta)
+        if odds is not None:
+            if prior.mass_theta1 + prior.mass_theta0 == 0:
+                raise ValueError(f"--prior-odds is meaningless for {rule} "
+                                 "(no mass on the no-exceptions hypothesis)")
+            prior = prior.with_prior_odds(odds)
 
     echo["alpha"] = _text(alpha)
-    if named is None or named.takes_beta:
+    if rule in TAKES_BETA:
         echo["beta"] = _text(beta)
     if odds is not None:
         echo["prior_odds"] = _text(odds)
@@ -339,7 +323,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     _need(args, "n-list")
     records = []
     for rule in args.rules:
-        prior = NAMED_PRIORS[rule].plain(args.alpha)
+        prior = NAMED_PRIORS[rule](args.alpha)
         for n in args.n_list:
             value = predict_next(prior, Evidence(n))
             inputs = {"n": _text(n), "alpha": _text(args.alpha)}
@@ -373,7 +357,7 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
         return lambda counts: mixture_predictive(prior, counts), args.t, echo
     # binary rules, confirmation mapped to type 0
     echo["alpha"] = _text(args.alpha)
-    mixture = from_binary_prior(NAMED_PRIORS[rule].plain(args.alpha))
+    mixture = from_binary_prior(NAMED_PRIORS[rule](args.alpha))
     return lambda counts: mixture_predictive(mixture, counts), 2, echo
 
 

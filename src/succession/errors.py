@@ -11,7 +11,6 @@ __all__ = [
     "SuccessionError",
     "ZeroEvidenceProbability",
     "UGFalsified",
-    "NoContinuousComponent",
     "DimensionMismatch",
     "InvalidRule",
     "SampleTooLarge",
@@ -35,11 +34,6 @@ class ZeroEvidenceProbability(SuccessionError):
 class UGFalsified(SuccessionError):
     """A universal generalization was assumed alive but the evidence contains
     a counterexample (at least one disconfirming instance)."""
-
-
-class NoContinuousComponent(SuccessionError):
-    """The prior places no mass on the continuous (beta) component, so there
-    are no posterior shape parameters to report."""
 
 
 class DimensionMismatch(SuccessionError, ValueError):

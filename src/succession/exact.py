@@ -16,7 +16,6 @@ from typing import Union
 from .errors import ResourceLimit
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "as_rational",
     "rising",
@@ -29,7 +28,6 @@ __all__ = [
     "decimal_string",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
@@ -51,6 +49,10 @@ _DIGIT_STRING = r"[+-]?[0-9]+"
 # the p/q and decimal literals Fraction() reads, without underscores or
 # exponents: sign, whole part, then a denominator or a fractional part
 _RATIONAL_STRING = r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?"
+
+
+def _whole(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def as_rational(value: RationalLike) -> Fraction:

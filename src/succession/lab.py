@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
-from .exact import _over_lcm, as_rational, falling, int_string
+from .exact import _over_lcm, _whole, as_rational, falling, int_string
 
 __all__ = [
     "SequenceLaw",
@@ -53,10 +53,6 @@ __all__ = [
 MAX_TABLE_SIZE = 2**20
 
 PredictiveRule = Callable[[tuple[int, ...]], Sequence[Fraction]]
-
-
-def _whole(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -126,11 +122,12 @@ def _check_shape(t: int, length: int) -> None:
     if not _whole(length) or length < 1:
         raise ValueError("length must be at least 1")
     # t >= 2, so a length past the cap's bit length exceeds it; testing that
-    # first keeps t**length cheap
+    # first keeps t**length cheap. The C(length + t - 1, length) count classes
+    # equal the binomial at k = t - 1; the smaller k gives _over_cap its m >= 2k
     if (
         length >= MAX_TABLE_SIZE.bit_length()
         or t**length > MAX_TABLE_SIZE
-        or _over_cap(length + t - 1, length, t)
+        or _over_cap(length + t - 1, min(length, t - 1), t)
     ):
         raise TableTooLarge(
             f"a table of {int_string(t)}^{int_string(length)} sequences, or of t "

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ZeroEvidenceProbability
 from .exact import (
@@ -30,6 +30,7 @@ from .exact import (
     ZERO,
     RationalLike,
     _over_lcm,
+    _whole,
     as_rational,
     beta_sequence_marginal,
 )
@@ -38,7 +39,6 @@ if TYPE_CHECKING:
     from .binary import BinaryPrior
 
 __all__ = [
-    "MultinomialCounts",
     "DirichletComponent",
     "SimplexMixturePrior",
     "dirichlet_predictive",
@@ -50,39 +50,17 @@ __all__ = [
     "from_binary_prior",
 ]
 
-CountsLike = Union["MultinomialCounts", Sequence[int]]
+CountsLike = Sequence[int]
 
 
-@dataclass(frozen=True)
-class MultinomialCounts:
-    """Observed tallies, one nonnegative integer per outcome type."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) == 0:
-            raise ValueError("need at least one outcome type")
-        for c in self.counts:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError("counts must be nonnegative integers")
-
-    @property
-    def t(self) -> int:
-        return len(self.counts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    def __getitem__(self, j: int) -> int:
-        return self.counts[j]
-
-
-def _as_counts(value: CountsLike) -> MultinomialCounts:
-    if isinstance(value, MultinomialCounts):
-        return value
-    return MultinomialCounts(tuple(value))
+def _counts(value: CountsLike) -> tuple[int, ...]:
+    """Observed tallies as a tuple, one nonnegative integer per outcome type."""
+    counts = tuple(value)
+    if not counts:
+        raise ValueError("need at least one outcome type")
+    if any(not _whole(c) or c < 0 for c in counts):
+        raise ValueError("counts must be nonnegative integers")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -108,7 +86,7 @@ class DirichletComponent:
         object.__setattr__(self, "weight", as_rational(self.weight))
         if len(support) == 0:
             raise ValueError("support must be nonempty")
-        if any(not isinstance(j, int) or isinstance(j, bool) or j < 0 for j in support):
+        if any(not _whole(j) or j < 0 for j in support):
             raise ValueError("support indices must be nonnegative integers")
         if any(a >= b for a, b in zip(support, support[1:])):
             raise ValueError("support indices must be strictly increasing")
@@ -155,7 +133,7 @@ class SimplexMixturePrior:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 2:
+        if not _whole(self.t) or self.t < 2:
             raise ValueError("need at least two outcome types")
         if not self.components:
             raise ValueError("need at least one component")
@@ -176,7 +154,7 @@ class SimplexMixturePrior:
         Gives every 'only type j ever occurs' hypothesis a standing chance
         while staying open-minded about genuinely mixed worlds.
         """
-        if not isinstance(t, int) or isinstance(t, bool) or t < 2:
+        if not _whole(t) or t < 2:
             raise ValueError("need at least two outcome types")
         vertex_share = Fraction(1, 2 * t)
         comps = [
@@ -187,7 +165,7 @@ class SimplexMixturePrior:
 
 def observed_type_count(counts: CountsLike) -> int:
     """Number of distinct types seen so far."""
-    return sum(1 for c in _as_counts(counts).counts if c > 0)
+    return sum(1 for c in _counts(counts) if c > 0)
 
 
 def dirichlet_predictive(
@@ -196,15 +174,15 @@ def dirichlet_predictive(
     """Next-observation probabilities under a single full-support
     Dirichlet: (n_j + k_j) / (n + k) for each type j, with k the parameter
     total. Exactly the add-k_j smoothing rule."""
-    cts = _as_counts(counts)
+    cts = _counts(counts)
     ps = tuple(as_rational(p) for p in params)
-    if len(ps) != cts.t:
+    if len(ps) != len(cts):
         raise DimensionMismatch(
-            f"{len(ps)} parameters for {cts.t} outcome types"
+            f"{len(ps)} parameters for {len(cts)} outcome types"
         )
     if any(p <= 0 for p in ps):
         raise ValueError("Dirichlet parameters must be positive")
-    shares, den = _face_shares(cts.counts, ps)
+    shares, den = _face_shares(cts, ps)
     return tuple(Fraction(s, den) for s in shares)
 
 
@@ -215,12 +193,12 @@ def carnap_predictive(counts: CountsLike, lam: RationalLike) -> tuple[Fraction, 
     lambda -> 0 leans entirely on observed frequencies; large lambda clings
     to the uniform 1/t.
     """
-    cts = _as_counts(counts)
+    cts = _counts(counts)
     lam = as_rational(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    share = lam / cts.t
-    return dirichlet_predictive(cts, (share,) * cts.t)
+    share = lam / len(cts)
+    return dirichlet_predictive(cts, (share,) * len(cts))
 
 
 def _face_shares(
@@ -256,12 +234,12 @@ def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Frac
     types the unobserved ones act as one type whose parameter is their sum
     (Dirichlet aggregation), so only observed types are split off.
     """
-    cts = _as_counts(counts)
-    if component.support[-1] >= cts.t:
+    cts = _counts(counts)
+    if component.support[-1] >= len(cts):
         raise DimensionMismatch(
-            f"component support exceeds t={cts.t}"
+            f"component support exceeds t={len(cts)}"
         )
-    return _marginal(cts.counts, cts.n, component)
+    return _marginal(cts, sum(cts), component)
 
 
 def _marginal(
@@ -340,12 +318,12 @@ def _posterior_weights(
 
 
 def _checked(prior: SimplexMixturePrior, counts: CountsLike) -> tuple[int, ...]:
-    cts = _as_counts(counts)
-    if cts.t != prior.t:
+    cts = _counts(counts)
+    if len(cts) != prior.t:
         raise DimensionMismatch(
-            f"counts over {cts.t} types against a prior with t={prior.t}"
+            f"counts over {len(cts)} types against a prior with t={prior.t}"
         )
-    return cts.counts
+    return cts
 
 
 def mixture_posterior(

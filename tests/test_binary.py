@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 from succession import (
     BinaryPrior,
     Evidence,
-    NoContinuousComponent,
     UGFalsified,
     ZeroEvidenceProbability,
     bayes_factor_ug,
     exception_probability,
     marginal_likelihood,
-    posterior_theta_params,
     posterior_ug,
     predict_block,
     predict_next,
@@ -359,16 +357,70 @@ class TestPriorOddsAdjustment:
             prior_odds_adjustment(0, 3)
 
 
-class TestPosteriorThetaParams:
-    def test_conjugate_update(self):
-        assert posterior_theta_params(LAPLACE, Evidence(3, 2)) == (F(4), F(3))
-        assert posterior_theta_params(
-            BinaryPrior.laplace("5/2", "1/3"), Evidence(1, 1)
-        ) == (F(7, 2), F(4, 3))
+ODDS_GRID = [F(1, 7), F(1, 2), F(1), F(3), F(22, 7), F(10**6)]
+ALPHA_GRID = [F(1), F(1, 3), F(5, 2), F(4)]
 
-    def test_requires_a_continuous_component(self):
-        with pytest.raises(NoContinuousComponent):
-            posterior_theta_params(BinaryPrior(HALF, HALF, 0), Evidence(1))
+
+class TestWithPriorOdds:
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    @pytest.mark.parametrize("d", ODDS_GRID)
+    def test_haldane_gives_from_prior_odds(self, d, alpha):
+        assert BinaryPrior.haldane(alpha).with_prior_odds(d) == (
+            BinaryPrior.from_prior_odds(d, alpha)
+        )
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    @pytest.mark.parametrize("d", ODDS_GRID)
+    def test_jeffreys_split_shares_the_odds_over_both_points(self, d, alpha):
+        share = d / (2 * (1 + d))
+        assert BinaryPrior.jeffreys_split(alpha).with_prior_odds(d) == (
+            BinaryPrior(share, share, 1 / (1 + d), alpha, 1)
+        )
+
+    @pytest.mark.parametrize("d", ODDS_GRID)
+    def test_general_prior_keeps_its_point_mass_ratio(self, d):
+        prior = BinaryPrior(F(1, 6), F(1, 3), HALF, F(2), F(7, 3))
+        scaled = prior.with_prior_odds(d)
+        assert scaled.mass_theta0 == 2 * scaled.mass_theta1
+        assert scaled.mass_theta1 + scaled.mass_theta0 == d * scaled.mass_continuous
+        assert (scaled.alpha, scaled.beta) == (F(2), F(7, 3))
+
+    def test_one_point_mass_takes_all_the_odds(self):
+        assert BinaryPrior(0, QUARTER, F(3, 4), 2).with_prior_odds(3) == (
+            BinaryPrior(0, F(3, 4), QUARTER, 2)
+        )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LAPLACE.with_prior_odds(2),
+         "the prior has no point mass for prior odds to weigh"),
+        (lambda: BinaryPrior.laplace(F(1, 2), 3).with_prior_odds(F(1, 2)),
+         "the prior has no point mass for prior odds to weigh"),
+        (lambda: HALDANE.with_prior_odds(0), "prior odds must be positive"),
+        (lambda: SPLIT.with_prior_odds(F(-1, 2)), "prior odds must be positive"),
+        # the odds are checked before the point mass
+        (lambda: LAPLACE.with_prior_odds(-1), "prior odds must be positive"),
+        (lambda: BinaryPrior.from_prior_odds(0), "prior odds must be positive"),
+        (lambda: BinaryPrior.from_prior_odds(F(-3, 2), 2),
+         "prior odds must be positive"),
+        # the odds are checked before alpha
+        (lambda: BinaryPrior.from_prior_odds(0, 0), "prior odds must be positive"),
+        (lambda: BinaryPrior.from_prior_odds(1, 0), "alpha and beta must be positive"),
+        (lambda: bayes_factor_ug(Evidence(3), 0), "alpha must be positive"),
+        (lambda: bayes_factor_ug(Evidence(3), F(-1, 2)), "alpha must be positive"),
+        (lambda: prior_odds_adjustment(1, -1), "n must be a nonnegative integer"),
+        (lambda: prior_odds_adjustment(1, True), "n must be a nonnegative integer"),
+        (lambda: prior_odds_adjustment(1, F(2)), "n must be a nonnegative integer"),
+        (lambda: Evidence(True), "confirm must be a nonnegative integer"),
+        (lambda: Evidence(2, F(1)), "disconfirm must be a nonnegative integer"),
+    ],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 class TestGoldbachScale:

@@ -15,6 +15,7 @@ from succession import (
     Evidence,
     TableTooLarge,
     predict_block,
+    predict_next,
     sufficientness_witness,
 )
 from succession.cli import main
@@ -101,6 +102,20 @@ class TestPredict:
         assert exact(rec) == F(275, 276)
         assert rec["inputs"]["prior_odds"] == "2"
 
+    def test_split_prior_odds_share_the_point_mass(self, capsys):
+        # masses d/(2(1+d)) at each point and 1/(1+d) on the continuous part
+        for d, n in ((F(3), 10), (F(1, 2), 0), (F(7, 3), 25), (F(10**9), 4)):
+            share = d / (2 * (1 + d))
+            want = predict_next(BinaryPrior(share, share, 1 / (1 + d)), Evidence(n))
+            rec = run_json(
+                capsys, "predict", "--rule", "jeffreys-split", "--n", str(n),
+                "--prior-odds", str(d),
+            )
+            assert exact(rec) == want
+            assert rec["inputs"]["prior_odds"] == str(d)
+        three_to_one = BinaryPrior(F(3, 8), F(3, 8), F(1, 4))
+        assert predict_next(three_to_one, Evidence(10)) == F(209, 210)
+
     def test_general_masses(self, capsys):
         rec = run_json(
             capsys,
@@ -136,6 +151,16 @@ class TestPosterior:
         )
         assert exact(records[0]) == F(11, 13)
         assert exact(records[1]) == F(11, 2)
+
+    def test_split_rule_prior_odds(self, capsys):
+        # the odds move the posterior, not the Bayes factor
+        records = run_json(
+            capsys, "posterior", "--rule", "jeffreys-split", "--n", "10",
+            "--prior-odds", "3",
+        )
+        assert exact(records[0]) == F(33, 35)
+        assert exact(records[1]) == F(11, 2)
+        assert records[0]["inputs"]["prior_odds"] == "3"
 
     def test_zero_sample_is_the_prior(self, capsys):
         records = run_json(capsys, "posterior", "--n", "0")
@@ -416,6 +441,13 @@ class TestExitCodes:
             (("predict", "--rule", "laplace", "--n", "1", "--alpha", "1e1000000"),
              "succession predict: error: argument --alpha: not a rational: "
              "'1e1000000'"),
+            (("posterior", "--rule", "general", "--n", "3", "--mass1", "1/2",
+              "--mass0", "1/2", "--mass-cont", "0"),
+             "error: ValueError: the prior has no continuous alternative; the "
+             "Bayes factor is not defined"),
+            (("posterior", "--rule", "laplace", "--n", "3"),
+             "error: ValueError: the prior puts no mass on a universal "
+             "generalization; posterior and Bayes factor are not defined"),
         ],
     )
     def test_usage_error_messages(self, capsys, argv, last_line):

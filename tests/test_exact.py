@@ -277,3 +277,25 @@ class TestLongLiterals:
         for bad in (f"{sevens}/0", f"1/{sevens}x", f"{sevens}/{sevens}.5", f"/{sevens}"):
             with pytest.raises(ValueError):
                 as_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: as_rational(object()), TypeError,
+         "expected a rational number, got object"),
+        (lambda: rising_ratio(F(1), F(2), -1), ValueError,
+         "ratio needs a nonnegative term count"),
+        (lambda: rising_ratio(F(1, 2), F(1, 2), -3), ValueError,
+         "ratio needs a nonnegative term count"),
+        (lambda: all_success_probability(F(1), F(1), -1), ValueError,
+         "horizon must be nonnegative"),
+        (lambda: decimal_string(F(1, 3), -1), ValueError,
+         "digits must be nonnegative"),
+    ],
+)
+def test_refusal_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message

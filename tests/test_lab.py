@@ -36,7 +36,7 @@ from succession import (
     variation_distance,
 )
 from succession.cli import LAB_RULES, _lab_rule
-from succession.lab import MAX_TABLE_SIZE, _compositions
+from succession.lab import MAX_TABLE_SIZE, _check_shape, _compositions
 
 
 def laplace_rule(counts):
@@ -118,6 +118,38 @@ class TestSequenceLawConstruction:
         table = {(2, 0): F(1, 4), (1, 1): F(1, 4), (0, 2): F(1, 4)}
         with pytest.raises(DimensionMismatch):
             SequenceLaw.from_class_probabilities(2, 2, {tallies: F(1, 4), **table})
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: law_from_predictive(laplace_rule, 2, 0), ValueError,
+             "length must be at least 1"),
+            (lambda: law_from_predictive(laplace_rule, 2, True), ValueError,
+             "length must be at least 1"),
+            (lambda: SequenceLaw(2, -1, ()), ValueError, "length must be at least 1"),
+            (lambda: SequenceLaw.from_class_probabilities(
+                2, 1, {(1, 0): F(3, 2), (0, 1): F(-1, 2)}),
+             ValueError, "probabilities must be nonnegative"),
+        ],
+    )
+    def test_refusal_messages(self, call, error, message):
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
+    def test_shape_cap_on_a_grid(self):
+        # refused exactly when the dense table (t**length entries) or the
+        # class table (count classes times t entries) is over the cap
+        for t in range(2, 41):
+            for length in range(1, 26):
+                classes = math.comb(length + t - 1, t - 1)
+                over = t**length > MAX_TABLE_SIZE or classes * t > MAX_TABLE_SIZE
+                try:
+                    _check_shape(t, length)
+                except TableTooLarge:
+                    assert over, (t, length)
+                else:
+                    assert not over, (t, length)
 
     def test_probability_lookup_both_representations(self):
         dense = SequenceLaw(2, 2, LAPLACE_2.probabilities)

@@ -10,7 +10,6 @@ from succession import (
     DimensionMismatch,
     DirichletComponent,
     Evidence,
-    MultinomialCounts,
     SimplexMixturePrior,
     ZeroEvidenceProbability,
     carnap_predictive,
@@ -80,12 +79,26 @@ SPLIT_2 = SimplexMixturePrior(
 
 class TestTypes:
     def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            MultinomialCounts(())
-        with pytest.raises(ValueError):
-            MultinomialCounts((1, -1))
-        counts = MultinomialCounts((2, 0, 3))
-        assert counts.t == 3 and counts.n == 5
+        # every entry point takes any sequence of ints and checks it the
+        # same way
+        for call in (
+            observed_type_count,
+            lambda counts: dirichlet_predictive(counts, (1, 1)),
+            lambda counts: carnap_predictive(counts, 1),
+            lambda counts: sequence_marginal(counts, DirichletComponent.vertex(0, 1)),
+            lambda counts: mixture_predictive(SPLIT_2, counts),
+            lambda counts: mixture_posterior(SPLIT_2, counts),
+        ):
+            with pytest.raises(ValueError, match="^need at least one outcome type$"):
+                call(())
+            for bad in ((1, -1), (1, True), (1, 1.0), (1, F(1))):
+                with pytest.raises(
+                    ValueError, match="^counts must be nonnegative integers$"
+                ):
+                    call(bad)
+            assert call([2, 3]) == call((2, 3)) == call(iter((2, 3)))
+        # t = 3 types and n = 5 draws
+        assert dirichlet_predictive([2, 0, 3], (1, 1, 1)) == (F(3, 8), F(1, 8), F(1, 2))
 
     def test_component_validation(self):
         with pytest.raises(ValueError):
@@ -258,9 +271,7 @@ class TestSequenceMarginal:
         # the marginal takes counts, not sequences, so permuting a sample
         # cannot change it; spot-check equal-count references
         comp = DirichletComponent.full((1, 2), 1)
-        assert sequence_marginal((3, 1), comp) == sequence_marginal(
-            MultinomialCounts((3, 1)), comp
-        )
+        assert sequence_marginal((3, 1), comp) == sequence_marginal([3, 1], comp)
 
 
 class TestMixturePosterior:
@@ -483,4 +494,37 @@ class TestCrossModuleAgreement:
 def test_observed_type_count():
     assert observed_type_count((0, 0, 0)) == 0
     assert observed_type_count((2, 0, 1)) == 2
-    assert observed_type_count(MultinomialCounts((1, 1, 1))) == 3
+    assert observed_type_count([1, 1, 1]) == 3
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DirichletComponent((), (), 1), ValueError,
+         "support must be nonempty"),
+        (lambda: DirichletComponent((-1,), (), 1), ValueError,
+         "support indices must be nonnegative integers"),
+        (lambda: DirichletComponent((0, True), (1, 1), 1), ValueError,
+         "support indices must be nonnegative integers"),
+        (lambda: DirichletComponent.vertex(0, F(-1, 2)), ValueError,
+         "component weight must be nonnegative"),
+        (lambda: DirichletComponent.full((1, 0), 1), ValueError,
+         "Dirichlet parameters must be positive"),
+        (lambda: SimplexMixturePrior(1, (DirichletComponent.vertex(0, 1),)),
+         ValueError, "need at least two outcome types"),
+        (lambda: SimplexMixturePrior(True, (DirichletComponent.vertex(0, 1),)),
+         ValueError, "need at least two outcome types"),
+        (lambda: SimplexMixturePrior(2, ()), ValueError,
+         "need at least one component"),
+        (lambda: dirichlet_predictive((1, 1), (1, F(-1, 2))), ValueError,
+         "Dirichlet parameters must be positive"),
+        (lambda: carnap_predictive((1, 1), 0), ValueError,
+         "lambda must be positive"),
+        (lambda: sequence_marginal((1, 1), DirichletComponent.vertex(2, 1)),
+         DimensionMismatch, "component support exceeds t=2"),
+    ],
+)
+def test_refusal_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
