@@ -366,8 +366,8 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
     *LAB_RULE_FLAGS, _opt("--length", type=_positive_int),
 )
 def _cmd_lab_exchangeable(args: argparse.Namespace) -> None:
+    _need(args, "rule", "length")
     rule_fn, t, echo = _lab_rule(args)
-    _need(args, "length")
     echo["length"] = _text(args.length)
     law = law_from_predictive(rule_fn, t, args.length)
     checks = {

@@ -222,19 +222,16 @@ def int_string(value: int) -> str:
 
 
 def parse_int(text: str) -> int:
-    """``int(text)`` for decimal strings of any length.
+    """A decimal integer literal of any length: ASCII digits with an
+    optional sign and surrounding whitespace.
 
-    Strings of ASCII digits, with an optional sign and surrounding
-    whitespace, that ``int()`` refuses for their length alone are split
+    Underscores and non-ASCII digits, which ``int()`` accepts, raise
+    ValueError, as they do in :func:`as_rational`. Long strings are split
     in halves that convert separately, the inverse of :func:`int_string`.
-    Anything else ``int()`` refuses raises its ValueError.
     """
-    try:
-        return int(text)
-    except ValueError:
-        digits = text.strip()
-        if re.fullmatch(_DIGIT_STRING, digits) is None:
-            raise
+    digits = text.strip()
+    if re.fullmatch(_DIGIT_STRING, digits) is None:
+        raise ValueError(f"not an integer literal: {text!r}")
     sign = -1 if digits[0] == "-" else 1
     return sign * _parse_digits(digits.lstrip("+-"))
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, ZeroEvidenceProbability
 from .exact import (
@@ -106,22 +106,27 @@ class DirichletComponent:
     @classmethod
     def vertex(cls, index: int, weight: RationalLike) -> "DirichletComponent":
         """Point mass: type ``index`` occurs with certainty."""
-        return cls((index,), (), as_rational(weight))
+        return cls((index,), (), weight)
 
     @classmethod
     def full(
         cls, params: Sequence[RationalLike], weight: RationalLike
     ) -> "DirichletComponent":
         """Dirichlet over all of 0..len(params)-1."""
-        return cls(
-            tuple(range(len(params))),
-            tuple(as_rational(p) for p in params),
-            as_rational(weight),
-        )
+        return cls(tuple(range(len(params))), params, weight)
 
     @property
     def is_vertex(self) -> bool:
         return len(self.support) == 1
+
+
+def _component(
+    support: tuple[int, ...], params: tuple[Fraction, ...], weight: Fraction
+) -> DirichletComponent:
+    """A DirichletComponent from checked parts, without ``__post_init__``."""
+    comp = object.__new__(DirichletComponent)
+    comp.__dict__.update(support=support, params=params, weight=weight)
+    return comp
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,9 @@ class SimplexMixturePrior:
         if not _whole(t) or t < 2:
             raise ValueError("need at least two outcome types")
         vertex_share = Fraction(1, 2 * t)
-        comps = [
-            DirichletComponent.full((ONE,) * t, Fraction(1, 2))
-        ] + [DirichletComponent.vertex(j, vertex_share) for j in range(t)]
-        return cls(t, tuple(comps))
+        flat = _component(tuple(range(t)), (ONE,) * t, Fraction(1, 2))
+        vertices = [_component((j,), (), vertex_share) for j in range(t)]
+        return cls(t, (flat, *vertices))
 
 
 def observed_type_count(counts: CountsLike) -> int:
@@ -212,15 +216,6 @@ def _face_shares(
     return shares, sum(shares)
 
 
-class _Face(NamedTuple):
-    """An unvalidated component: the same fields as DirichletComponent,
-    for callers whose inputs are already checked (the binary view)."""
-
-    support: tuple[int, ...]
-    params: tuple[Fraction, ...]
-    weight: Fraction
-
-
 def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Fraction:
     """Probability of one particular ordered sequence carrying ``counts``,
     under a single component.
@@ -243,7 +238,7 @@ def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Frac
 
 
 def _marginal(
-    counts: tuple[int, ...], total: int, face: _Face | DirichletComponent
+    counts: tuple[int, ...], total: int, face: DirichletComponent
 ) -> Fraction:
     """sequence_marginal on a checked tuple ``counts`` summing to ``total``."""
     ks = face.params
@@ -278,7 +273,7 @@ def _aggregated(
 
 
 def _weighted_marginals(
-    counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
+    counts: tuple[int, ...], components: Sequence[DirichletComponent]
 ) -> tuple[list[int], int]:
     """Weight times sequence marginal per component, as integer numerators
     over the lcm of the unreduced products' denominators; a weightless
@@ -296,7 +291,7 @@ def _weighted_marginals(
 
 
 def _posterior_numerators(
-    counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
+    counts: tuple[int, ...], components: Sequence[DirichletComponent]
 ) -> tuple[list[int], int]:
     """Posterior component weights as integer numerators over their sum.
     Raises ZeroEvidenceProbability when every component dies."""
@@ -310,7 +305,7 @@ def _posterior_numerators(
 
 
 def _posterior_weights(
-    counts: tuple[int, ...], components: Sequence[_Face | DirichletComponent]
+    counts: tuple[int, ...], components: Sequence[DirichletComponent]
 ) -> tuple[Fraction, ...]:
     """Posterior component weights, one Fraction each."""
     nums, total = _posterior_numerators(counts, components)
@@ -369,16 +364,14 @@ def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:
     confirmatory outcome: the theta=1 point becomes the vertex at type 0,
     the theta=0 point the vertex at type 1, and the continuous part a
     Dirichlet(alpha, beta) over both."""
-    return SimplexMixturePrior(
-        2, tuple(DirichletComponent(*face) for face in _binary_faces(prior))
-    )
+    return SimplexMixturePrior(2, _binary_faces(prior))
 
 
-def _binary_faces(prior: BinaryPrior) -> tuple[_Face, _Face, _Face]:
-    # the components of from_binary_prior, unvalidated: the binary module
-    # builds them on every call
+def _binary_faces(prior: BinaryPrior) -> tuple[DirichletComponent, ...]:
+    # the components of from_binary_prior, from parts BinaryPrior has checked:
+    # the binary module builds them on every call
     return (
-        _Face((0,), (), prior.mass_theta1),
-        _Face((1,), (), prior.mass_theta0),
-        _Face((0, 1), (prior.alpha, prior.beta), prior.mass_continuous),
+        _component((0,), (), prior.mass_theta1),
+        _component((1,), (), prior.mass_theta0),
+        _component((0, 1), (prior.alpha, prior.beta), prior.mass_continuous),
     )

@@ -13,6 +13,7 @@ from oracles import decimal_reference, parse_int
 from succession import (
     BinaryPrior,
     Evidence,
+    SimplexMixturePrior,
     TableTooLarge,
     predict_block,
     predict_next,
@@ -448,6 +449,10 @@ class TestExitCodes:
             (("posterior", "--rule", "laplace", "--n", "3"),
              "error: ValueError: the prior puts no mass on a universal "
              "generalization; posterior and Bayes factor are not defined"),
+            (("predict", "--rule", "haldane", "--n", "1_0"),
+             "succession predict: error: argument --n: not an integer: '1_0'"),
+            (("predict", "--rule", "haldane", "--n", "\u0663"),
+             "succession predict: error: argument --n: not an integer: '\u0663'"),
         ],
     )
     def test_usage_error_messages(self, capsys, argv, last_line):
@@ -509,6 +514,19 @@ class TestExitCodes:
         )
         assert code == 4
         assert "TableTooLarge" in err
+
+    def test_missing_length_is_refused_before_the_rule_is_built(
+        self, capsys, monkeypatch
+    ):
+        def never(t):
+            raise AssertionError("the prior was built")
+
+        monkeypatch.setattr(SimplexMixturePrior, "hintikka_default", never)
+        code, out, err = run(
+            capsys, "lab", "exchangeable", "--rule", "hintikka", "--t", "100000"
+        )
+        assert code == 2
+        assert err.splitlines()[-1] == "error: ValueError: missing --length"
 
     @pytest.mark.parametrize(
         "argv",

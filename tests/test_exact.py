@@ -258,8 +258,10 @@ class TestLongLiterals:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "12x", "9" * 5_000 + "x", "--" + "9" * 5_000, "1.5", "\u0663" * 5_000],
-        ids=["empty", "12x", "long-x", "double-sign", "decimal", "arabic-indic"],
+        ["", "12x", "9" * 5_000 + "x", "--" + "9" * 5_000, "1.5", "\u0663" * 5_000,
+         "1_000", "\u0663", "\uff11\uff12"],
+        ids=["empty", "12x", "long-x", "double-sign", "decimal", "arabic-indic",
+             "underscore", "arabic-indic-digit", "fullwidth"],
     )
     def test_parse_int_keeps_int_errors(self, text):
         with pytest.raises(ValueError):

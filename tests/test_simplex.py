@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from succession import (
     sequence_marginal,
 )
 from succession.exact import rising
+from succession.simplex import _binary_faces
 import oracles
 
 THIRD = F(1, 3)
@@ -134,10 +136,49 @@ class TestTypes:
         assert prior.components[0].support == (0, 1, 2, 3)
         assert sum(c.weight for c in prior.components) == 1
 
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_hintikka_default_components_equal_validated_ones(self, t):
+        want = (
+            DirichletComponent.full((1,) * t, F(1, 2)),
+            *(DirichletComponent.vertex(j, F(1, 2 * t)) for j in range(t)),
+        )
+        prior = SimplexMixturePrior.hintikka_default(t)
+        _assert_same_components(prior.components, want)
+
+    def test_binary_faces_equal_validated_components(self):
+        masses = (F(0), F(1, 3), F(1, 2), F(1))
+        shapes = (F(1), F(1, 2), F(5, 3), F(2))
+        for mass1, mass0 in itertools.product(masses, repeat=2):
+            if mass1 + mass0 > 1:
+                continue
+            cont = 1 - mass1 - mass0
+            for alpha, beta in itertools.product(shapes, repeat=2):
+                prior = BinaryPrior(mass1, mass0, cont, alpha, beta)
+                want = (
+                    DirichletComponent((0,), (), mass1),
+                    DirichletComponent((1,), (), mass0),
+                    DirichletComponent((0, 1), (alpha, beta), cont),
+                )
+                _assert_same_components(_binary_faces(prior), want)
+                _assert_same_components(from_binary_prior(prior).components, want)
+
     @pytest.mark.parametrize("t", [0, 1, -3, True, 2.0])
     def test_hintikka_default_needs_two_types(self, t):
         with pytest.raises(ValueError, match="need at least two outcome types"):
             SimplexMixturePrior.hintikka_default(t)
+
+
+def _assert_same_components(got, want):
+    # components built from checked parts, without __post_init__, behave
+    # like the validated ones: equal, same hash and repr, frozen
+    assert got == want
+    assert [hash(c) for c in got] == [hash(c) for c in want]
+    assert [repr(c) for c in got] == [repr(c) for c in want]
+    for comp in got:
+        assert type(comp) is DirichletComponent
+        assert dataclasses.replace(comp) == comp
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            comp.weight = F(0)
 
 
 class TestSinglePredictives:
