@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UGFalsified
-from .exact import ONE, ZERO, RationalLike, _whole, all_success_probability, as_rational
+from .exact import ONE, ZERO, RationalLike, _whole, as_rational, rising_ratio
 from .simplex import _binary_faces, _posterior_weights, _weighted_marginals
 
 __all__ = [
@@ -214,11 +214,8 @@ def predict_block(prior: BinaryPrior, ev: Evidence, horizon: int) -> Fraction:
     w1, _, wc = _posterior(prior, ev)
     out = w1
     if wc != 0:
-        out += wc * all_success_probability(
-            prior.alpha + ev.confirm,
-            prior.beta + ev.disconfirm,
-            horizon,
-        )
+        a = prior.alpha + ev.confirm
+        out += wc * rising_ratio(a, a + prior.beta + ev.disconfirm, horizon)
     return out
 
 

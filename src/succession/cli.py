@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from argparse import ArgumentTypeError
@@ -352,9 +353,12 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
     if rule == "hintikka":
         if args.t is None:
             raise ValueError("--rule hintikka needs --t")
-        prior = SimplexMixturePrior.hintikka_default(args.t)
+        if args.t < 2:
+            raise ValueError("need at least two outcome types")
+        # built on the first rule call, after the lab's caps have passed
+        prior = functools.cache(lambda: SimplexMixturePrior.hintikka_default(args.t))
         echo["t"] = _text(args.t)
-        return lambda counts: mixture_predictive(prior, counts), args.t, echo
+        return lambda counts: mixture_predictive(prior(), counts), args.t, echo
     # binary rules, confirmation mapped to type 0
     echo["alpha"] = _text(args.alpha)
     mixture = from_binary_prior(NAMED_PRIORS[rule](args.alpha))

@@ -22,7 +22,6 @@ __all__ = [
     "falling",
     "rising_ratio",
     "beta_sequence_marginal",
-    "all_success_probability",
     "int_string",
     "parse_int",
     "decimal_string",
@@ -134,26 +133,22 @@ def falling(start: int, count: int) -> int:
 
 
 def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fraction:
-    """``rising(num_start, count) / rising(den_start, count)``.
+    """``rising(num_start, count) / rising(den_start, count)``, for positive
+    starts.
 
-    When the starts differ by an integer d the product telescopes to d
-    terms instead of ``count``, so neither side is materialized; that is
-    what makes astronomically long blocks affordable. Otherwise both
-    ``count``-term products are built and divided once.
+    This is the Beta marginal of ``count`` straight successes, so
+    :func:`beta_sequence_marginal` picks the route. When the starts differ
+    by an integer d the product telescopes to d terms instead of ``count``,
+    so neither side is materialized; that is what makes astronomically long
+    blocks affordable.
     """
     if count < 0:
         raise ValueError("ratio needs a nonnegative term count")
     if count == 0 or num_start == den_start:
         return ONE
-    gap = den_start - num_start
-    if gap.denominator == 1:
-        d = int(gap)
-        if 0 < d < count:
-            # telescoping: Prod (x+i)/(x+d+i) = rising(x, d)/rising(x+count, d)
-            return rising(num_start, d) / rising(num_start + count, d)
-        if -count < d < 0:
-            return rising(den_start + count, -d) / rising(den_start, -d)
-    return rising(num_start, count) / rising(den_start, count)
+    lo, hi = sorted((num_start, den_start))
+    ratio = beta_sequence_marginal(lo, hi - lo, count, 0)
+    return ratio if lo == num_start else 1 / ratio
 
 
 def beta_sequence_marginal(
@@ -173,36 +168,21 @@ def beta_sequence_marginal(
         raise ValueError("tallies must be nonnegative")
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta parameters must be positive")
-    candidates: list[tuple[int, str]] = [(a + b, "direct")]
-    if beta.denominator == 1:
-        candidates.append((b + 2 * int(beta) + b, "via_beta"))
-    if alpha.denominator == 1:
-        candidates.append((a + 2 * int(alpha) + a, "via_alpha"))
-    route = min(candidates)[1]
-    # each route divides by its longest product; building that one first
-    # refuses a count over the term cap before any multiplying
-    if route == "via_beta":
-        bi = int(beta)
-        den = rising(alpha + a, bi + b)
-        return rising(beta, b) * rising(alpha, bi) / den
-    if route == "via_alpha":
-        ai = int(alpha)
-        den = rising(beta + b, ai + a)
-        return rising(alpha, a) * rising(beta, ai) / den
-    den = rising(alpha + beta, a + b)
+    # a route's cost is its longest product, the one it divides by: all
+    # a + b terms, or one side's tally plus that side's parameter when the
+    # parameter is an integer. Building the divisor first refuses a count
+    # over the term cap before any multiplying.
+    total = a + b
+    by_alpha = a + alpha.numerator if alpha.denominator == 1 else total
+    by_beta = b + beta.numerator if beta.denominator == 1 else total
+    if by_alpha < total and by_alpha <= by_beta:
+        den = rising(beta + b, by_alpha)
+        return rising(alpha, a) * rising(beta, by_alpha - a) / den
+    if by_beta < total:
+        den = rising(alpha + a, by_beta)
+        return rising(beta, b) * rising(alpha, by_beta - b) / den
+    den = rising(alpha + beta, total)
     return rising(alpha, a) * rising(beta, b) / den
-
-
-def all_success_probability(a: Fraction, b: Fraction, horizon: int) -> Fraction:
-    """Probability that the next ``horizon`` draws all succeed under a
-    Beta(a, b) distribution on the success chance.
-
-    This is ``rising(a, horizon) / rising(a+b, horizon)``; the telescoped
-    ratio keeps huge horizons cheap when ``b`` is an integer.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    return rising_ratio(a, a + b, horizon)
 
 
 def int_string(value: int) -> str:

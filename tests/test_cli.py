@@ -531,6 +531,56 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("lab", "exchangeable", "--rule", "hintikka", "--t", str(10**30),
+             "--length", "1"),
+            ("lab", "sufficientness", "--rule", "hintikka", "--t", str(10**30)),
+        ],
+    )
+    def test_huge_hintikka_lab_exits_4(self, capsys, argv):
+        # the lab's caps refuse these; building the prior would overflow
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith("error: TableTooLarge: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lab", "exchangeable", "--rule", "hintikka", "--t", "1000",
+             "--length", "2"),
+            ("lab", "sufficientness", "--rule", "hintikka", "--t", "1048577",
+             "--max-n", "0"),
+        ],
+    )
+    def test_refused_hintikka_lab_never_builds_the_prior(
+        self, capsys, monkeypatch, argv
+    ):
+        def never(t):
+            raise AssertionError("the prior was built")
+
+        monkeypatch.setattr(SimplexMixturePrior, "hintikka_default", never)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert "TableTooLarge" in err
+
+    def test_hintikka_lab_builds_the_prior_once(self, capsys, monkeypatch):
+        built = []
+        build = SimplexMixturePrior.hintikka_default
+
+        def counted(t):
+            built.append(t)
+            return build(t)
+
+        monkeypatch.setattr(SimplexMixturePrior, "hintikka_default", counted)
+        code, out, err = run(
+            capsys, "lab", "sufficientness", "--rule", "hintikka", "--t", "3",
+            "--max-n", "2",
+        )
+        assert code == 0
+        assert built == [3]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("lab", "exchangeable", "--rule", "hintikka", "--t", "1000",
              "--length", "2"),
             ("lab", "urn", "--colors", ",".join(["1"] * 1500), "--k", "1"),

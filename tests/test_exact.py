@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from succession import ResourceLimit, TableTooLarge, exact
 from succession.exact import (
     MAX_RISING_TERMS,
-    all_success_probability,
     as_rational,
     beta_sequence_marginal,
     decimal_string,
@@ -17,7 +16,7 @@ from succession.exact import (
     rising,
     rising_ratio,
 )
-from oracles import beta_marginal, decimal_reference, parse_int
+from oracles import beta_marginal, decimal_reference, parse_int, polya_marginal
 
 
 class TestAsRational:
@@ -101,13 +100,19 @@ class TestRisingFalling:
         # does not
         cap = MAX_RISING_TERMS
         for alpha, beta, a, b in (
-            (F(1), F(1), cap // 2 + 1, cap // 2 + 1),
+            (F(1), F(1), cap, cap),
             (F(1, 2), F(1), 2 * cap, cap),
             (F(1), F(1, 3), cap, 2 * cap),
         ):
             with pytest.raises(ResourceLimit):
                 beta_sequence_marginal(alpha, beta, a, b)
         assert time.perf_counter() - start < 0.05
+
+    def test_shortest_route_under_the_cap_answers(self):
+        # the direct route needs cap + 2 terms, the integer-parameter ones
+        # cap // 2 + 2
+        n = MAX_RISING_TERMS // 2 + 1
+        assert beta_sequence_marginal(F(1), F(1), n, n) == beta_marginal(1, 1, n, n)
 
     def test_table_cap_is_a_resource_limit(self):
         assert issubclass(TableTooLarge, ResourceLimit)
@@ -123,6 +128,13 @@ class TestRisingRatio:
             explicit *= (num + i) / (den + i)
         assert rising_ratio(num, den, count) == explicit
 
+    @pytest.mark.parametrize(
+        "num, den", [(F(0), F(1)), (F(-1, 2), F(1)), (F(2), F(-1))]
+    )
+    def test_nonpositive_start_rejected(self, num, den):
+        with pytest.raises(ValueError):
+            rising_ratio(num, den, 3)
+
     def test_telescoped_path_handles_huge_counts(self):
         # integer gap of 1: the ratio collapses to start/(start+count)
         count = 10**15
@@ -133,6 +145,9 @@ class TestRisingRatio:
         )
         # negative gap (numerator above denominator)
         assert rising_ratio(F(2), F(1), count) == F(count + 1)
+
+
+GRID_PARAMETERS = [F(1, 3), F(1, 2), F(1), F(2), F(3), F(7, 2), F(6), F(40)]
 
 
 class TestBetaSequenceMarginal:
@@ -159,6 +174,34 @@ class TestBetaSequenceMarginal:
                 )
                 assert beta_sequence_marginal(alpha, beta, a, b) == direct
 
+    @pytest.mark.parametrize("alpha", GRID_PARAMETERS)
+    @pytest.mark.parametrize("beta", GRID_PARAMETERS)
+    def test_longest_product_is_the_cheapest_route(self, monkeypatch, alpha, beta):
+        # a route costs its longest product: a + b terms directly, or one
+        # side's tally plus its parameter when that parameter is an integer
+        terms = []
+        real = exact.rising
+
+        def counted(start, count):
+            terms.append(count)
+            return real(start, count)
+
+        monkeypatch.setattr(exact, "rising", counted)
+        for a in range(14):
+            for b in range(14):
+                costs = [a + b]
+                if alpha.denominator == 1:
+                    costs.append(a + alpha.numerator)
+                if beta.denominator == 1:
+                    costs.append(b + beta.numerator)
+                terms.clear()
+                value = beta_sequence_marginal(alpha, beta, a, b)
+                assert max(terms) == min(costs), (a, b)
+                if alpha.denominator == beta.denominator == 1:
+                    assert value == beta_marginal(int(alpha), int(beta), a, b)
+                else:
+                    assert value == polya_marginal((alpha, beta), (a, b))
+
     def test_huge_one_sided_counts_are_cheap(self):
         n = 10**18
         assert beta_sequence_marginal(F(1), F(1), n, 0) == F(1, n + 1)
@@ -180,11 +223,11 @@ class TestAllSuccessProbability:
                     explicit = F(1)
                     for i in range(z):
                         explicit *= (a + i) / (a + b + i)
-                    assert all_success_probability(a, b, z) == explicit
+                    assert rising_ratio(a, a + b, z) == explicit
 
     def test_huge_horizon_with_integer_second_parameter(self):
         z = 10**12
-        assert all_success_probability(F(101), F(1), z) == F(101, 101 + z)
+        assert rising_ratio(F(101), F(102), z) == F(101, 101 + z)
 
 
 class TestDecimalString:
@@ -290,8 +333,6 @@ class TestLongLiterals:
          "ratio needs a nonnegative term count"),
         (lambda: rising_ratio(F(1, 2), F(1, 2), -3), ValueError,
          "ratio needs a nonnegative term count"),
-        (lambda: all_success_probability(F(1), F(1), -1), ValueError,
-         "horizon must be nonnegative"),
         (lambda: decimal_string(F(1, 3), -1), ValueError,
          "digits must be nonnegative"),
     ],
