@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -165,6 +165,29 @@ class SimplexMixturePrior:
         flat = _component(tuple(range(t)), (ONE,) * t, Fraction(1, 2))
         vertices = [_component((j,), (), vertex_share) for j in range(t)]
         return cls(t, (flat, *vertices))
+
+    @cached_property
+    def _symmetric(self) -> tuple[Fraction, DirichletComponent] | None:
+        """(vertex weight, face) when the components are the t vertices at
+        one common weight plus one full face whose parameters are all equal,
+        in any order; None otherwise. Such a prior is invariant under
+        permuting types, so its predictive depends only on the observed
+        ones. Computed once per prior; ``tuple.count`` compares by identity
+        first, so a shared weight or parameter costs no Fraction equality."""
+        t, comps = self.t, self.components
+        vertices = [c for c in comps if len(c.support) == 1]
+        if len(vertices) != t or len(comps) != t + 1:
+            return None
+        face = next(c for c in comps if len(c.support) > 1)
+        weights = [c.weight for c in vertices]
+        if (
+            len(face.support) == t
+            and face.params.count(face.params[0]) == t
+            and weights.count(weights[0]) == t
+            and len({c.support[0] for c in vertices}) == t
+        ):
+            return weights[0], face
+        return None
 
 
 def observed_type_count(counts: CountsLike) -> int:
@@ -338,8 +361,12 @@ def mixture_predictive(
     vertex adds its weight w at its type; a surviving face, which holds all n
     observations, adds w * (n_j + k_j) / (n + k_face) at each of its types j.
     Everything is summed as integer numerators over one denominator, and
-    each entry becomes one Fraction."""
+    each entry becomes one Fraction. A type-symmetric prior, such as
+    ``hintikka_default``, is answered from its observed types alone, with
+    the same result."""
     cts = _checked(prior, counts)
+    if symmetric := prior._symmetric:
+        return _symmetric_predictive(cts, *symmetric)
     nums, total = _posterior_numerators(cts, prior.components)
     faces = [
         (a, comp.support, *_face_shares([cts[j] for j in comp.support], comp.params))
@@ -357,6 +384,42 @@ def mixture_predictive(
             out[j] += share * scale
     den *= total
     return tuple(Fraction(o, den) if o else ZERO for o in out)
+
+
+def _symmetric_predictive(
+    counts: tuple[int, ...], vertex_weight: Fraction, face: DirichletComponent
+) -> tuple[Fraction, ...]:
+    """mixture_predictive for a type-symmetric prior, from the s observed
+    types alone. With none, every type is alike: 1/t. Otherwise the face's
+    t - s unseen types act as one type with parameter (t - s)*a (Dirichlet
+    aggregation) and split its share evenly. With s >= 2 every vertex dies
+    and the face alone answers. With s = 1 the observed type's vertex
+    survives beside the face, and the face's marginal, one Beta factor after
+    aggregation, weighs the two; it is skipped when either weight is 0."""
+    t = len(counts)
+    seen = [j for j, c in enumerate(counts) if c]
+    if not seen:
+        return (Fraction(1, t),) * t
+    a, rest = face.params[0], t - len(seen)
+    ns = [counts[j] for j in seen]
+    w = vertex_weight if len(seen) == 1 else ZERO
+    wf = face.weight
+    m = beta_sequence_marginal(a, a * rest, ns[0], 0) if w and wf else ONE
+    face_pair = (wf.numerator * m.numerator, wf.denominator * m.denominator)
+    (a_v, a_f), _ = _over_lcm([w.as_integer_ratio(), face_pair])
+    if not a_v + a_f:
+        raise ZeroEvidenceProbability(
+            f"the prior assigns probability 0 to counts {counts}"
+        )
+    # with every type seen the aggregate is empty: parameter 0, share 0
+    shares, d = _face_shares(ns + [0], [a] * len(seen) + [a * rest])
+    *nums, rest_num = (share * a_f for share in shares)
+    nums[0] += a_v * d
+    den = d * (a_v + a_f)
+    out = [Fraction(rest_num // rest, den) if rest else ZERO] * t
+    for j, num in zip(seen, nums):
+        out[j] = Fraction(num, den)
+    return tuple(out)
 
 
 def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:

@@ -255,6 +255,17 @@ class TestLab:
         assert code == 0
         assert out == "sufficientness: holds for all samples up to n=0\n"
 
+    def test_sufficientness_of_a_type_symmetric_prior_is_fast(self, capsys):
+        # Laplace(1, 1) over two types is type-symmetric, so each rule call
+        # answers from the observed types without a posterior marginal
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "lab", "sufficientness", "--rule", "laplace", "--max-n", "200"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out == "sufficientness: holds for all samples up to n=200\n"
+
     def test_df_check_frozen(self, capsys):
         records = run_json(
             capsys, "lab", "df-check", "--urn", "5,5", "--k", "3"

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -23,6 +25,8 @@ from succession import (
     sequence_marginal,
 )
 from succession.exact import rising
+from succession import simplex
+from succession.errors import ResourceLimit
 from succession.simplex import _binary_faces
 import oracles
 
@@ -391,11 +395,18 @@ class TestMixturePredictive:
             assert mixture_predictive(prior, (0,) * t) == (F(1, t),) * t
 
     def test_hintikka_default_is_linear_in_t(self):
-        # t + 1 components: each adds over its own support, never over all t
-        prior = SimplexMixturePrior.hintikka_default(4000)
+        # t + 1 components: each adds over its own support, never over all t.
+        # hintikka_default is type-symmetric and never reaches the per-face
+        # engine, so one reweighted vertex keeps that engine at the same size
+        t = 4000
+        prior = SimplexMixturePrior.hintikka_default(t)
+        reweighted = _reweighted_hintikka(t)
         start = time.perf_counter()
-        assert mixture_predictive(prior, (0,) * 4000) == (F(1, 4000),) * 4000
+        assert mixture_predictive(prior, (0,) * t) == (F(1, t),) * t
+        pred = mixture_predictive(reweighted, (0,) * t)
         assert time.perf_counter() - start < 1.5
+        face = F(1, 2) - F(1, 2 * t)
+        assert pred == (F(1, t) + face / t,) + (F(1, 2 * t) + face / t,) * (t - 1)
 
     def test_excluded_types_get_zero(self):
         edge_only = SimplexMixturePrior(
@@ -468,6 +479,30 @@ class TestMixturePredictive:
         assert pred[3] == F(3, 7 + t)
         assert pred[70_000] == F(6, 7 + t)
         assert pred[0] == F(1, 7 + t)
+        one_type = (7,) + (0,) * (t - 1)
+        assert mixture_predictive(prior, one_type) == _one_type_predictive(
+            F(1, 2 * t), F(1, 2), t, 7
+        )
+
+    def test_per_face_engine_at_a_hundred_thousand_types(self):
+        # the same sizes through the general engine: one reweighted vertex
+        # makes the prior asymmetric, and every component is visited
+        t = 10**5
+        prior = _reweighted_hintikka(t)
+        counts = [0] * t
+        counts[3], counts[70_000] = 2, 5
+        one_type = (7,) + (0,) * (t - 1)
+        start = time.perf_counter()
+        uniform = mixture_predictive(prior, (0,) * t)
+        pred = mixture_predictive(prior, tuple(counts))
+        seen_once = mixture_predictive(prior, one_type)
+        assert time.perf_counter() - start < 6
+        assert prior._symmetric is None
+        face = F(1, 2) - F(1, 2 * t)
+        assert uniform[0] == F(1, t) + face / t
+        assert uniform[1:] == (F(1, 2 * t) + face / t,) * (t - 1)
+        assert (pred[3], pred[70_000], pred[0]) == (F(3, 7 + t), F(6, 7 + t), F(1, 7 + t))
+        assert seen_once == _one_type_predictive(F(1, t), face, t, 7)
 
     @pytest.mark.parametrize(
         "counts", [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
@@ -479,12 +514,171 @@ class TestMixturePredictive:
         _assert_matches_oracle(prior, counts)
 
 
+def _reweighted_hintikka(t):
+    """hintikka_default(t) with vertex 0 at twice its weight and the flat
+    face lighter by as much: not type-symmetric, so mixture_predictive runs
+    the per-face engine over all t + 1 components."""
+    flat, first, *rest = SimplexMixturePrior.hintikka_default(t).components
+    return SimplexMixturePrior(t, (
+        dataclasses.replace(flat, weight=flat.weight - first.weight),
+        dataclasses.replace(first, weight=2 * first.weight),
+        *rest,
+    ))
+
+
+def _one_type_predictive(vertex, face, t, n):
+    """The predictive after n observations of type 0 alone under vertex 0 at
+    weight ``vertex`` plus a flat face over t types at weight ``face``. The
+    face's marginal is n! / (t (t+1) ... (t+n-1)); it predicts (n+1)/(n+t)
+    at type 0 and 1/(n+t) at every other type."""
+    surviving = face * F(math.factorial(n), math.prod(range(t, t + n)))
+    total = vertex + surviving
+    first = (vertex + surviving * F(n + 1, n + t)) / total
+    return (first,) + (surviving * F(1, n + t) / total,) * (t - 1)
+
+
 def _assert_matches_oracle(prior, counts):
     if oracles.mixture_marginal(prior, counts) == 0:
         return
     assert mixture_predictive(prior, counts) == tuple(
         oracles.mixture_predictive(prior, counts, j) for j in range(prior.t)
     )
+
+
+def _symmetric_prior(t, vertex_weight, a, rng):
+    """t vertices at ``vertex_weight`` and a full face with every parameter
+    ``a`` taking the rest, in a shuffled order."""
+    comps = [DirichletComponent.vertex(j, vertex_weight) for j in range(t)]
+    comps.append(DirichletComponent.full((a,) * t, 1 - t * vertex_weight))
+    rng.shuffle(comps)
+    return SimplexMixturePrior(t, comps)
+
+
+def _per_face(prior):
+    """A copy of ``prior`` that mixture_predictive sends through the
+    per-face engine: its cached symmetry test reads None."""
+    copy = dataclasses.replace(prior)
+    vars(copy)["_symmetric"] = None
+    return copy
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ZeroEvidenceProbability as exc:
+        return type(exc), str(exc)
+
+
+def _tallies(t):
+    # every tally 0..4 up to four types; past that, at most two observed
+    # types, which covers each case of the fast path
+    for counts in itertools.product(range(5), repeat=t):
+        if t <= 4 or sum(1 for c in counts if c) <= 2:
+            yield counts
+
+
+class TestTypeSymmetricPriors:
+    @pytest.mark.parametrize("a", [F(1, 2), F(1), F(3)])
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_equals_the_per_face_engine(self, t, a):
+        # vertex weight 0 (the face alone), 1/(2t), and 1/t (face weight 0)
+        rng = random.Random(t)
+        for w in (F(0), F(1, 2 * t), F(1, t)):
+            prior = _symmetric_prior(t, w, a, rng)
+            assert prior._symmetric == (w, DirichletComponent.full((a,) * t, 1 - t * w))
+            general = _per_face(prior)
+            for counts in _tallies(t):
+                assert _outcome(lambda: mixture_predictive(prior, counts)) == (
+                    _outcome(lambda: mixture_predictive(general, counts))
+                ), (w, counts)
+
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_hintikka_matches_factorial_oracle(self, t):
+        prior = SimplexMixturePrior.hintikka_default(t)
+        for counts in _tallies(t):
+            if t > 4 and sum(counts) > 4:
+                continue
+            assert mixture_predictive(prior, counts) == tuple(
+                oracles.mixture_predictive(prior, counts, j) for j in range(t)
+            )
+
+    @pytest.mark.parametrize(
+        "prior, symmetric",
+        [
+            (SimplexMixturePrior.hintikka_default(3), True),
+            (from_binary_prior(BinaryPrior.laplace(F(1, 2), F(1, 2))), True),
+            (from_binary_prior(BinaryPrior.laplace()), True),
+            (from_binary_prior(BinaryPrior.jeffreys_split()), True),
+            (from_binary_prior(BinaryPrior(F(1, 2), F(1, 2), 0)), True),
+            (SPLIT_2, True),
+            (from_binary_prior(BinaryPrior.haldane()), False),
+            (from_binary_prior(BinaryPrior.laplace(1, 2)), False),
+            (from_binary_prior(BinaryPrior.jeffreys_split(2)), False),
+            (_reweighted_hintikka(4), False),
+            (TWO_VERTICES_AND_FLAT, False),
+            (WITH_EDGES, False),
+            (SimplexMixturePrior(2, (DirichletComponent.vertex(0, F(1, 4)),) * 2
+                                 + (DirichletComponent.full((1, 1), F(1, 2)),)), False),
+        ],
+        ids=[
+            "hintikka", "laplace-half", "laplace", "jeffreys-split", "two-point",
+            "split-2", "haldane", "laplace-1-2", "jeffreys-split-2",
+            "hintikka-reweighted", "missing-vertex", "with-edges", "repeated-vertex",
+        ],
+    )
+    def test_which_priors_take_the_fast_path(self, monkeypatch, prior, symmetric):
+        calls = []
+        fast = simplex._symmetric_predictive
+
+        def recorded(*args):
+            calls.append(args)
+            return fast(*args)
+
+        monkeypatch.setattr(simplex, "_symmetric_predictive", recorded)
+        for counts in itertools.product(range(3), repeat=prior.t):
+            _outcome(lambda: mixture_predictive(prior, counts))
+        assert bool(calls) == symmetric
+        assert (prior._symmetric is not None) == symmetric
+
+    def test_detection_leaves_the_dataclass_alone(self):
+        prior = SimplexMixturePrior.hintikka_default(3)
+        fresh = SimplexMixturePrior.hintikka_default(3)
+        mixture_predictive(prior, (1, 0, 0))
+        assert "_symmetric" in vars(prior)
+        assert [f.name for f in dataclasses.fields(prior)] == ["t", "components"]
+        assert prior == fresh
+        assert hash(prior) == hash(fresh)
+        assert repr(prior) == repr(fresh)
+        assert dataclasses.replace(prior) == prior
+
+    @pytest.mark.parametrize("seen", [0, 1, 2])
+    def test_a_hundred_thousand_types_from_the_observed_ones(self, seen):
+        # the first call checks the components once; later calls scan the
+        # counts and share one Fraction across the unseen types
+        t = 10**5
+        counts = [0] * t
+        for j in range(seen):
+            counts[40_000 * j + 3] = 7 - j
+        counts = tuple(counts)
+        prior = SimplexMixturePrior.hintikka_default(t)
+        start = time.perf_counter()
+        first = mixture_predictive(prior, counts)
+        assert time.perf_counter() - start < 0.1
+        for _ in range(2):
+            start = time.perf_counter()
+            again = mixture_predictive(prior, counts)
+            assert time.perf_counter() - start < 0.05
+            assert again == first
+        assert sum(first) == 1
+
+    def test_face_shares_need_no_marginal(self):
+        # two observed types kill every vertex, so the face's predictive is
+        # the answer; the per-face engine still weighs the face by a marginal
+        # whose products are over the term cap
+        prior = from_binary_prior(BinaryPrior.laplace(F(1, 2), F(1, 2)))
+        with pytest.raises(ResourceLimit):
+            mixture_predictive(_per_face(prior), (10**4, 10**4))
+        assert mixture_predictive(prior, (10**4, 10**4)) == (F(1, 2), F(1, 2))
 
 
 class TestCrossModuleAgreement:
