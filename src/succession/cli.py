@@ -398,7 +398,7 @@ def _cmd_lab_sufficientness(args: argparse.Namespace) -> None:
     else:
         j, counts_a, counts_b, val_a, val_b = witness
         for tag, counts, val in zip("ab", (counts_a, counts_b), (val_a, val_b)):
-            inputs = {**echo, "type": str(j), "counts": ",".join(map(_text, counts))}
+            inputs = dict(echo, type=str(j), counts=",".join(map(int_string, counts)))
             name = f"sufficientness-witness-{tag}"
             records.append(_record(name, inputs, val, args.digits))
         lines = [
@@ -419,21 +419,17 @@ def _cmd_lab_sufficientness(args: argparse.Namespace) -> None:
 def _cmd_lab_df_check(args: argparse.Namespace) -> None:
     _need(args, "urn", "k")
     urn = UrnComposition(args.urn)
-    echo = {"urn": ",".join(map(_text, urn.colors)), "k": _text(args.k)}
+    echo = {"urn": ",".join(map(int_string, urn.colors)), "k": _text(args.k)}
     restricted = urn_law(urn, args.k)
     mixture = canonical_mixture(urn_law(urn, urn.total), args.k)
     distance = variation_distance(restricted, mixture)
-    bound = df_bound(urn.t, args.k, urn.total)
-    records = [
-        _record("distance", echo, distance, args.digits),
-        _record("bound", echo, bound, args.digits),
-        _record("within-bound", echo, distance <= bound, args.digits),
-    ]
-    lines = [
-        f"distance: {_text(distance)} ({decimal_string(distance, args.digits)})",
-        f"bound: {_text(bound)} ({decimal_string(bound, args.digits)})",
-        f"within bound: {'yes' if distance <= bound else 'no'}",
-    ]
+    values = {"distance": distance, "bound": df_bound(urn.t, args.k, urn.total)}
+    within = distance <= values["bound"]
+    records = [_record(name, echo, v, args.digits) for name, v in values.items()]
+    records.append(_record("within-bound", echo, within, args.digits))
+    lines = [f"{name}: {_text(v)} ({decimal_string(v, args.digits)})"
+             for name, v in values.items()]
+    lines.append(f"within bound: {'yes' if within else 'no'}")
     _emit(records, args.format, lines)
 
 
@@ -445,7 +441,7 @@ def _cmd_lab_urn(args: argparse.Namespace) -> None:
     _need(args, "colors", "k")
     urn = UrnComposition(args.colors)
     law = urn_law(urn, args.k)
-    echo = {"colors": ",".join(map(_text, urn.colors)), "k": _text(args.k)}
+    echo = {"colors": ",".join(map(int_string, urn.colors)), "k": _text(args.k)}
     records, lines = [], []
 
     def add(name: str, extra: dict, label: str, prob: Fraction) -> None:
@@ -461,7 +457,7 @@ def _cmd_lab_urn(args: argparse.Namespace) -> None:
         assert table is not None
         for counts, prob in sorted(table.items()):
             label = f"P(any sequence with counts {counts})"
-            add("urn-class", {"counts": ",".join(map(_text, counts))}, label, prob)
+            add("urn-class", {"counts": ",".join(map(int_string, counts))}, label, prob)
     _emit(records, args.format, lines)
 
 

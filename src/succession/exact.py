@@ -175,12 +175,12 @@ def beta_sequence_marginal(
     total = a + b
     by_alpha = a + alpha.numerator if alpha.denominator == 1 else total
     by_beta = b + beta.numerator if beta.denominator == 1 else total
-    if by_alpha < total and by_alpha <= by_beta:
+    # the beta route is the alpha route with the sides swapped
+    if by_beta < min(by_alpha, total):
+        alpha, beta, a, b, by_alpha = beta, alpha, b, a, by_beta
+    if by_alpha < total:
         den = rising(beta + b, by_alpha)
         return rising(alpha, a) * rising(beta, by_alpha - a) / den
-    if by_beta < total:
-        den = rising(alpha + a, by_beta)
-        return rising(beta, b) * rising(alpha, by_beta - b) / den
     den = rising(alpha + beta, total)
     return rising(alpha, a) * rising(beta, b) / den
 

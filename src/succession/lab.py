@@ -171,10 +171,14 @@ class SequenceLaw:
             if classes.setdefault(counts, n) != n:
                 classes = None
                 break
+        return self._store(t, length, den, nums, classes)
+
+    def _store(self, t: int, length: int, den: int, dense: list[int] | None,
+               classes: dict[tuple[int, ...], int] | None) -> "SequenceLaw":
         self.t = t
         self.length = length
         self._den = den
-        self._dense: list[int] | None = nums
+        self._dense = dense
         self._classes = classes
         return self
 
@@ -219,13 +223,7 @@ class SequenceLaw:
         factorials = _factorials(length)
         if sum(n * _multiplicity(c, factorials) for c, n in nums.items() if n) != den:
             raise ValueError("probabilities must sum to exactly 1")
-        law = cls.__new__(cls)
-        law.t = t
-        law.length = length
-        law._den = den
-        law._dense = None
-        law._classes = nums
-        return law
+        return cls.__new__(cls)._store(t, length, den, None, nums)
 
     def _numerators(self) -> Sequence[int]:
         # one numerator per sequence in table order

@@ -277,6 +277,40 @@ class TestLab:
             "within-bound": 1,
         }
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--urn", "5,5", "--k", "3"],
+                "distance: 1/6 (0.166666666667)\n"
+                "bound: 6/5 (1.200000000000)\n"
+                "within bound: yes\n",
+            ),
+            (
+                ["--urn", "5,5", "--k", "3", "--format", "csv"],
+                "rule,n,inputs,num,den,decimal\n"
+                'distance,,"urn=5,5 k=3",1,6,0.166666666667\n'
+                'bound,,"urn=5,5 k=3",6,5,1.200000000000\n'
+                'within-bound,,"urn=5,5 k=3",1,1,1.000000000000\n',
+            ),
+            (
+                ["--urn", "3,2,1", "--k", "2"],
+                "distance: 11/45 (0.244444444444)\n"
+                "bound: 2 (2.000000000000)\n"
+                "within bound: yes\n",
+            ),
+            (
+                ["--urn", "3,2,1", "--k", "2", "--format", "csv", "--digits", "4"],
+                "rule,n,inputs,num,den,decimal\n"
+                'distance,,"urn=3,2,1 k=2",11,45,0.2444\n'
+                'bound,,"urn=3,2,1 k=2",2,1,2.0000\n'
+                'within-bound,,"urn=3,2,1 k=2",1,1,1.0000\n',
+            ),
+        ],
+    )
+    def test_df_check_plain_and_csv_frozen(self, capsys, argv, expected):
+        assert run(capsys, "lab", "df-check", *argv) == (0, expected, "")
+
     def test_urn_sequence_listing(self, capsys):
         records = run_json(capsys, "lab", "urn", "--colors", "1,1", "--k", "2")
         probs = {r["inputs"]["sequence"]: exact(r) for r in records}

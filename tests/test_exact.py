@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction as F
@@ -201,6 +202,45 @@ class TestBetaSequenceMarginal:
                     assert value == beta_marginal(int(alpha), int(beta), a, b)
                 else:
                     assert value == polya_marginal((alpha, beta), (a, b))
+
+    @pytest.mark.parametrize(
+        "alpha, beta", itertools.combinations_with_replacement(GRID_PARAMETERS, 2)
+    )
+    def test_swapping_the_sides_is_a_mirror(self, monkeypatch, alpha, beta):
+        # B(alpha + a, beta + b) / B(alpha, beta) is symmetric in the two
+        # sides: the same value or the same refusal, through products of the
+        # same lengths; only a tie between the two integer routes, which
+        # goes to the alpha side, divides by a product with another start.
+        # Each pair of parameters is drawn once; the mirror runs the other
+        # order. Tallies of 10**6 are past the term cap on every route that
+        # uses them.
+        calls = []
+        real = exact.rising
+
+        def recorded(start, count):
+            calls.append((start, count))
+            return real(start, count)
+
+        def outcome(*args):
+            calls.clear()
+            try:
+                value = beta_sequence_marginal(*args)
+            except ResourceLimit as exc:
+                value = str(exc)
+            return value, sorted(calls)
+
+        monkeypatch.setattr(exact, "rising", recorded)
+        tallies = [*range(14), 10**6]
+        for a in tallies:
+            for b in tallies:
+                value, products = outcome(alpha, beta, a, b)
+                mirror, mirrored = outcome(beta, alpha, b, a)
+                assert value == mirror, (a, b)
+                assert max(c for _, c in products) == max(c for _, c in mirrored)
+                by_alpha = a + alpha if alpha.denominator == 1 else None
+                by_beta = b + beta if beta.denominator == 1 else None
+                if by_alpha is None or by_alpha != by_beta or by_alpha >= a + b:
+                    assert products == mirrored, (a, b)
 
     def test_huge_one_sided_counts_are_cheap(self):
         n = 10**18

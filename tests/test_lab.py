@@ -213,6 +213,11 @@ class TestSequenceLawConstruction:
             (0, 2): F(1, 3),
         }
 
+    def test_repr_names_the_storage(self):
+        assert repr(LAPLACE_2) == "SequenceLaw(t=2, length=2, classes)"
+        first_is_zero = SequenceLaw(2, 2, [F(1, 2), F(1, 2), F(0), F(0)])
+        assert repr(first_is_zero) == "SequenceLaw(t=2, length=2, dense)"
+
 
 class TestLawFromPredictive:
     def test_laplace_length_two_frozen(self):
@@ -570,6 +575,9 @@ class TestUrns:
             urn_law(UrnComposition((1, 1)), 0)
         with pytest.raises(SampleTooLarge):
             urn_law(UrnComposition((1, 1)), 3)
+
+    def test_repr_lists_the_colors(self):
+        assert repr(UrnComposition((2, 1))) == "UrnComposition([2, 1])"
 
     def test_table_cap_before_the_work(self):
         start = time.perf_counter()
