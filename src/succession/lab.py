@@ -18,7 +18,8 @@ pass that validates it. Pairwise operations use the class form when both
 operands carry it, which is what makes exhaustive sweeps over urns
 affordable. A predictive rule is walked on the count lattice first; only a
 rule whose law turns out not to be exchangeable gets the dense chain-rule
-table, one entry per sequence. A rule's vector is validated as integer
+table, one entry per sequence, built one level of prefixes at a time over
+one denominator per level. A rule's vector is validated as integer
 numerators over the lcm of its denominators.
 """
 
@@ -367,8 +368,10 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     stored per class, one entry per count vector. At the first count vector where two
     predecessors disagree, the law is not exchangeable and the construction
     falls back to the dense table, one entry per sequence, reusing the
-    predictions already made. Both walks multiply integer numerators and
-    denominators and put the table over the lcm of its denominators.
+    predictions already made. The dense table keeps each level as integer
+    numerators over one denominator, the previous level's times the lcm of
+    the rule's denominators at the count vectors of its positive prefixes,
+    so the finished table needs no lcm.
     """
     _check_shape(t, length)
     name = getattr(rule, "__name__", "rule")
@@ -384,19 +387,29 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     walked = _class_walk(predictive, t, length)
     if walked is not None:
         return SequenceLaw._from_numerators(t, length, *walked)
-    # the chain rule over every prefix in table order, on unreduced pairs:
-    # the children of (n, d) are (n * a_i, d * D) for the numerators a_i / D
-    zeros = ((0,) * t, 1)
-    level = [(1, 1)]
+    # the chain rule over every prefix in table order, one level at a time
+    # over one denominator; ids[p] names the count vector of prefix p among
+    # the level's vectors, and the children of prefix p are t*p .. t*p + t - 1
+    nums, den, ids, vectors, zeros = [1], 1, [0], [(0,) * t], (0,) * t
     for depth in range(length):
-        level = [
-            (n * a, child_d)
-            for (n, d), counts in zip(level, _lex_counts(t, depth))
-            for vec, den in [predictive(counts) if n else zeros]
-            for child_d in [d * den]
-            for a in vec
-        ]
-    return SequenceLaw.__new__(SequenceLaw)._adopt(t, length, *_over_lcm(level))
+        live = dict.fromkeys(itertools.compress(ids, nums))
+        rows = {k: predictive(vectors[k]) for k in live}
+        scale = math.lcm(*(d for _, d in rows.values()))
+        den *= scale
+        factors = [zeros] * len(vectors)
+        for k, (vec, d) in rows.items():
+            factors[k] = [a * (scale // d) for a in vec]
+        nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
+        if depth + 1 < length:
+            index: dict[tuple[int, ...], int] = {}
+            successors = [
+                [index.setdefault(c[:i] + (c[i] + 1,) + c[i + 1 :], len(index))
+                 for i in range(t)]
+                for c in vectors
+            ]
+            vectors = list(index)
+            ids = list(itertools.chain.from_iterable(map(successors.__getitem__, ids)))
+    return SequenceLaw.__new__(SequenceLaw)._adopt(t, length, nums, den)
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:

@@ -284,6 +284,39 @@ class TestLawFromPredictive:
             if sum(c) == n
         }
 
+    def test_dense_fallback_skips_zero_prefixes(self):
+        # t = 3: type 2 never comes, so every prefix that draws it has
+        # probability 0 from depth 1 on; Laplace on types 0 and 1 below
+        # n = 2, then type 1 is barred from c0 >= 2 and type 0 from c1 >= 2,
+        # so P(001) = 0 < P(010) and the class walk fails at depth 3, and
+        # (2, 2, 0) is reached only through prefixes of probability 0
+        calls = []
+
+        def rule(counts):
+            calls.append(counts)
+            c0, c1, _ = counts
+            n = sum(counts)
+            if n < 2:
+                return (F(c0 + 1, n + 2), F(c1 + 1, n + 2), F(0))
+            w0 = c0 + 1 if c1 < 2 else 0
+            w1 = 1 if c0 < 2 else 0
+            if not w0 + w1:
+                return (F(0), F(0), F(1))
+            return (F(w0, w0 + w1), F(w1, w0 + w1), F(0))
+
+        law = law_from_predictive(rule, 3, 5)
+        assert not is_exchangeable(law)
+        # the class walk's levels 0..2, then the fallback's new vectors in
+        # table order of first appearance
+        assert calls == [
+            (0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 2, 0),
+            (3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0),
+            (4, 0, 0), (3, 1, 0), (1, 3, 0), (0, 4, 0),
+        ]
+        assert len(calls) == len(set(calls))
+        assert law.probabilities == chain_rule_table(rule, 3, 5)
+        assert law.probability((0, 1, 0, 1, 0)) == 0
+
     def test_invalid_rules_rejected(self):
         with pytest.raises(InvalidRule):
             law_from_predictive(lambda c: (F(1, 2),), 2, 2)
@@ -386,6 +419,16 @@ def _table_rule(rng, t):
     return rule
 
 
+def _run_rule(t):
+    # seeing type 0 makes it likelier, other types leave it alone: not
+    # exchangeable, and every sequence keeps a positive probability
+    def rule(counts):
+        den = counts[0] + t
+        return (F(counts[0] + 1, den),) + (F(1, den),) * (t - 1)
+
+    return rule
+
+
 def _prime_rule(t):
     # predictions over a different prime at every count vector, so the
     # denominators are pairwise coprime; the tallies drive some entries to 0
@@ -463,6 +506,17 @@ class TestClassPath:
         dense = SequenceLaw(t, length, reference)
         assert dense.probabilities == reference and not is_exchangeable(dense)
 
+    @pytest.mark.parametrize("t,length", [(2, 14), (3, 8)])
+    @pytest.mark.parametrize("make_rule", [_run_rule, _prime_rule])
+    def test_dense_fallback_at_the_benchmark_sizes(self, make_rule, t, length):
+        # the largest dense tables the lab-sweep workload builds
+        rule = make_rule(t)
+        law = law_from_predictive(rule, t, length)
+        reference = chain_rule_table(rule, t, length)
+        assert law.probabilities == reference
+        assert not is_exchangeable(law)
+        assert has_positive_cylinders(law) == (0 not in reference)
+
     def test_length_twenty_in_under_a_second(self):
         start = time.perf_counter()
         law = law_from_predictive(laplace_rule, 2, 20)
@@ -471,6 +525,17 @@ class TestClassPath:
         assert answers == (True, True)
         assert law.probability((0,) * 7 + (1,) * 13) == F(1, 21 * math.comb(20, 7))
         assert elapsed < 1.0
+
+    def test_dense_table_at_the_cap_in_under_two_seconds(self):
+        # 2**20 sequences, the largest table under the cap; the run rule is
+        # not exchangeable, so every one of them gets its own entry
+        start = time.perf_counter()
+        law = law_from_predictive(_run_rule(2), 2, 20)
+        answers = is_exchangeable(law), has_positive_cylinders(law)
+        elapsed = time.perf_counter() - start
+        assert answers == (False, True)
+        assert law.probability((1,) + (0,) * 19) == F(1, 40)
+        assert elapsed < 2.0
 
 
 class TestExchangeability:
@@ -800,16 +865,6 @@ class TestMultiplicityConsistency:
             * 1
             for counts in table
         ) == 2**4
-
-
-def _run_rule(t):
-    # seeing type 0 makes it likelier, other types leave it alone: not
-    # exchangeable, and every sequence keeps a positive probability
-    def rule(counts):
-        den = counts[0] + t
-        return (F(counts[0] + 1, den),) + (F(1, den),) * (t - 1)
-
-    return rule
 
 
 def _accessor_laws():
