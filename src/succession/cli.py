@@ -26,9 +26,9 @@ import functools
 import json
 import sys
 from argparse import ArgumentTypeError
+from collections.abc import Callable, Sequence
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, Sequence
 
 from .binary import BinaryPrior, Evidence, predict_block, predict_next
 from .errors import ResourceLimit, SuccessionError, UGFalsified, ZeroEvidenceProbability
@@ -70,6 +70,8 @@ NAMED_PRIORS: dict[str, Callable[[Fraction], BinaryPrior]] = {
 TAKES_BETA = ("laplace", "general")
 BINARY_RULES = (*NAMED_PRIORS, "general")
 LAB_RULES = ("dirichlet", "carnap", "hintikka", *NAMED_PRIORS)
+# the parameter flags each lab rule reads; a binary rule reads --alpha alone
+LAB_RULE_READS = {"dirichlet": ("params",), "carnap": ("t", "lam"), "hintikka": ("t",)}
 
 
 # ---------------------------------------------------------------- parsing
@@ -79,7 +81,7 @@ def _number(parse: Callable, what: str, *bounds: tuple[Callable, str]) -> Callab
     """An argparse type: ``parse`` the text, then check each (test, message)
     bound in order. A message is formatted with the parsed value."""
 
-    def convert(text: str) -> Any:
+    def convert(text: str) -> object:
         try:
             value = parse(text)
         except (ValueError, TypeError):
@@ -120,7 +122,7 @@ _rule = _number(str.strip, "a rule", (
 ))
 
 
-def _opt(flag: str, **options: Any) -> tuple[str, dict[str, Any]]:
+def _opt(flag: str, **options: object) -> tuple[str, dict[str, object]]:
     return flag, options
 
 
@@ -157,7 +159,7 @@ K = _opt("--k", type=_positive_int)
 COMMANDS: dict[str, tuple[str, tuple, Callable]] = {}
 
 
-def _command(path: str, help: str, *flags: tuple[str, dict[str, Any]]) -> Callable:
+def _command(path: str, help: str, *flags: tuple[str, dict[str, object]]) -> Callable:
     """Declare the decorated handler as subcommand ``path`` with ``flags``."""
 
     def register(handler: Callable[[argparse.Namespace], None]) -> Callable:
@@ -336,6 +338,13 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
     """Resolve a named predictive rule to (callable, t, echo)."""
     _need(args, "rule")
     rule, params = args.rule, args.params
+    reads = LAB_RULE_READS.get(rule, ("alpha",))
+    for dest, flag in (("params", "--params"), ("t", "--t"), ("lam", "--lambda")):
+        if dest not in reads and getattr(args, dest) is not None:
+            raise ValueError(f"rule {rule!r} does not take {flag}")
+    # --alpha defaults to 1, so only another value shows it was set
+    if "alpha" not in reads and args.alpha != 1:
+        raise ValueError(f"rule {rule!r} does not take --alpha")
     echo: dict[str, str] = {"rule": rule}
     if rule == "dirichlet":
         if params is None:

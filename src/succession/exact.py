@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
 
 from .errors import ResourceLimit
 
@@ -27,7 +26,7 @@ __all__ = [
     "decimal_string",
 ]
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -13,14 +13,14 @@ constructor built it, and per sequence in table order when it was built
 dense; its Fractions are made at the accessors. So exchangeability is read
 off the storage rather than rescanned, and every check and distance runs on
 integers. Urn laws, canonical mixtures and laws from an exchangeable
-predictive rule are built per class; a dense table is classified in the
-pass that validates it. Pairwise operations use the class form when both
-operands carry it, which is what makes exhaustive sweeps over urns
-affordable. A predictive rule is walked on the count lattice first; only a
-rule whose law turns out not to be exchangeable gets the dense chain-rule
-table, one entry per sequence, built one level of prefixes at a time over
-one denominator per level. A rule's vector is validated as integer
-numerators over the lcm of its denominators.
+predictive rule are built per class; the dense constructor classifies its
+table as it validates it. Pairwise operations use the class form when both
+operands carry it, which makes exhaustive sweeps over urns affordable. A
+predictive rule is walked on the count lattice first; a rule whose walk
+meets two sequences with equal counts and unequal probabilities gets the
+dense chain-rule table, built one level of prefixes at a time over one
+denominator per level and stored unclassified. A rule's vector is
+validated as integer numerators over the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
 from .exact import _over_lcm, _whole, as_rational, falling, int_string
@@ -74,26 +74,22 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         counts[-1] = rest
 
 
-def _lex_counts(t: int, length: int) -> Iterator[tuple[int, ...]]:
-    """The count vector of each sequence, in table order: an odometer over
-    the sequence, last position fastest, that moves one tally per digit."""
-    seq = [0] * length
-    counts = [length] + [0] * (t - 1)
-    last = t - 1
+def _levels(t: int) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
+    """Table order, one prefix length at a time from 0: ``vectors`` holds
+    the level's count vectors in order of first appearance, and ``ids[p]``
+    is the index in ``vectors`` of prefix p's count vector. The children of
+    prefix p are t*p .. t*p + t - 1, and a level is built only when asked."""
+    ids, vectors = [0], [(0,) * t]
     while True:
-        yield tuple(counts)
-        i = length - 1
-        while i >= 0 and seq[i] == last:
-            seq[i] = 0
-            counts[last] -= 1
-            counts[0] += 1
-            i -= 1
-        if i < 0:
-            return
-        s = seq[i]
-        seq[i] = s + 1
-        counts[s] -= 1
-        counts[s + 1] += 1
+        yield ids, vectors
+        index: dict[tuple[int, ...], int] = {}
+        successors = [
+            [index.setdefault(c[:i] + (c[i] + 1,) + c[i + 1 :], len(index))
+             for i in range(t)]
+            for c in vectors
+        ]
+        vectors = list(index)
+        ids = list(itertools.chain.from_iterable(map(successors.__getitem__, ids)))
 
 
 def _factorials(length: int) -> list[int]:
@@ -160,22 +156,20 @@ class SequenceLaw:
             )
         if any(p < 0 for p in dense):
             raise ValueError("probabilities must be nonnegative")
-        self._adopt(t, length, *_over_lcm([p.as_integer_ratio() for p in dense]))
-
-    def _adopt(self, t: int, length: int, nums: list[int], den: int) -> "SequenceLaw":
-        # the dense core: one integer sum check, then a classification by
-        # numerator that stops at the first mismatch
-        if sum(nums) != den:
-            raise ValueError("probabilities must sum to exactly 1")
-        classes: dict[tuple[int, ...], int] | None = {}
-        for counts, n in zip(_lex_counts(t, length), nums):
-            if classes.setdefault(counts, n) != n:
-                classes = None
-                break
-        return self._store(t, length, den, nums, classes)
+        nums, den = _over_lcm([p.as_integer_ratio() for p in dense])
+        # classified by numerator: one numerator per count vector, in order
+        # of first appearance, must be every sequence's with those counts
+        ids, vectors = next(itertools.islice(_levels(t), length, None))
+        per_id = dict(zip(ids, nums))
+        same = all(map(operator.eq, map(per_id.__getitem__, ids), nums))
+        classes = dict(zip(vectors, per_id.values())) if same else None
+        self._store(t, length, den, nums, classes)
 
     def _store(self, t: int, length: int, den: int, dense: list[int] | None,
                classes: dict[tuple[int, ...], int] | None) -> "SequenceLaw":
+        # a dense table's one integer sum check; the class core checks its own
+        if dense is not None and sum(dense) != den:
+            raise ValueError("probabilities must sum to exactly 1")
         self.t = t
         self.length = length
         self._den = den
@@ -226,11 +220,16 @@ class SequenceLaw:
             raise ValueError("probabilities must sum to exactly 1")
         return cls.__new__(cls)._store(t, length, den, None, nums)
 
+    def _per_sequence(self, table: Mapping[tuple[int, ...], object]) -> Iterator:
+        # the value a per-class table gives each sequence, in table order
+        ids, vectors = next(itertools.islice(_levels(self.t), self.length, None))
+        return map(list(map(table.__getitem__, vectors)).__getitem__, ids)
+
     def _numerators(self) -> Sequence[int]:
         # one numerator per sequence in table order
         if self._dense is not None:
             return self._dense
-        return list(map(self._classes.__getitem__, _lex_counts(self.t, self.length)))
+        return list(self._per_sequence(self._classes))
 
     def _count_numerators(self) -> dict[tuple[int, ...], int]:
         # numerator of the mass of each count vector, over the law's denominator
@@ -240,10 +239,12 @@ class SequenceLaw:
                 c: n * _multiplicity(c, factorials) if n else 0
                 for c, n in self._classes.items()
             }
-        out = dict.fromkeys(_compositions(self.length, self.t), 0)
-        for counts, n in zip(_lex_counts(self.t, self.length), self._dense):
-            out[counts] += n
-        return out
+        ids, vectors = next(itertools.islice(_levels(self.t), self.length, None))
+        sums = [0] * len(vectors)
+        for k, n in zip(ids, self._dense):
+            sums[k] += n
+        out = dict(zip(vectors, sums))
+        return {c: out[c] for c in _compositions(self.length, self.t)}
 
     def probability(self, sequence: Sequence[int]) -> Fraction:
         """Probability of one full sequence."""
@@ -270,7 +271,7 @@ class SequenceLaw:
         table = self.class_table()
         if table is None:
             return tuple(Fraction(n, self._den) for n in self._dense)
-        return tuple(map(table.__getitem__, _lex_counts(self.t, self.length)))
+        return tuple(self._per_sequence(table))
 
     def sequences(self) -> Iterator[tuple[int, ...]]:
         """All sequences in table order."""
@@ -365,13 +366,13 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     the same count vector gets the same probability (the rule's
     predictions commute: p_c(i) p_{c+e_i}(j) = p_c(j) p_{c+e_j}(i) at
     every c of positive probability), the law is exchangeable and is
-    stored per class, one entry per count vector. At the first count vector where two
-    predecessors disagree, the law is not exchangeable and the construction
-    falls back to the dense table, one entry per sequence, reusing the
-    predictions already made. The dense table keeps each level as integer
-    numerators over one denominator, the previous level's times the lcm of
-    the rule's denominators at the count vectors of its positive prefixes,
-    so the finished table needs no lcm.
+    stored per class, one entry per count vector. At the first count
+    vector where two predecessors disagree, the law is known not to be
+    exchangeable, and the construction falls back to the dense table, one
+    entry per sequence, stored unclassified and reusing the predictions
+    already made. Each level of it is integer numerators over one
+    denominator: the previous level's times the lcm of the rule's
+    denominators at the count vectors of its positive prefixes.
     """
     _check_shape(t, length)
     name = getattr(rule, "__name__", "rule")
@@ -387,11 +388,11 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     walked = _class_walk(predictive, t, length)
     if walked is not None:
         return SequenceLaw._from_numerators(t, length, *walked)
-    # the chain rule over every prefix in table order, one level at a time
-    # over one denominator; ids[p] names the count vector of prefix p among
-    # the level's vectors, and the children of prefix p are t*p .. t*p + t - 1
-    nums, den, ids, vectors, zeros = [1], 1, [0], [(0,) * t], (0,) * t
-    for depth in range(length):
+    # the class walk found two sequences with equal counts and different
+    # probabilities, so the law is not exchangeable: the chain rule over
+    # every prefix in table order, one level at a time over one denominator
+    nums, den, zeros = [1], 1, (0,) * t
+    for ids, vectors in itertools.islice(_levels(t), length):
         live = dict.fromkeys(itertools.compress(ids, nums))
         rows = {k: predictive(vectors[k]) for k in live}
         scale = math.lcm(*(d for _, d in rows.values()))
@@ -400,22 +401,13 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
         for k, (vec, d) in rows.items():
             factors[k] = [a * (scale // d) for a in vec]
         nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
-        if depth + 1 < length:
-            index: dict[tuple[int, ...], int] = {}
-            successors = [
-                [index.setdefault(c[:i] + (c[i] + 1,) + c[i + 1 :], len(index))
-                 for i in range(t)]
-                for c in vectors
-            ]
-            vectors = list(index)
-            ids = list(itertools.chain.from_iterable(map(successors.__getitem__, ids)))
-    return SequenceLaw.__new__(SequenceLaw)._adopt(t, length, nums, den)
+    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, nums, None)
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:
-    """True iff sequences with equal count vectors get equal probability,
-    which is exactly when the law keeps a class table: the dense
-    constructor classifies its table as it validates it."""
+    """True iff sequences with equal count vectors get equal probability:
+    exactly when the law keeps a class table, which the dense constructor
+    decides by classifying and law_from_predictive by its class walk."""
     return law._classes is not None
 
 

@@ -17,12 +17,12 @@ one Fraction per entry.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, ZeroEvidenceProbability
 from .exact import (
@@ -34,9 +34,6 @@ from .exact import (
     as_rational,
     beta_sequence_marginal,
 )
-
-if TYPE_CHECKING:
-    from .binary import BinaryPrior
 
 __all__ = [
     "DirichletComponent",

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -506,6 +507,46 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[-1] == last_line
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("lab", "exchangeable", "--rule", "dirichlet", "--params", "1,1",
+              "--t", "3", "--length", "2"), "--t"),
+            (("lab", "sufficientness", "--rule", "dirichlet", "--params", "1,1",
+              "--lambda", "2"), "--lambda"),
+            (("lab", "exchangeable", "--rule", "carnap", "--t", "3", "--lambda", "1",
+              "--params", "1,1,1", "--length", "2"), "--params"),
+            (("lab", "sufficientness", "--rule", "carnap", "--t", "3", "--lambda", "1",
+              "--alpha", "2"), "--alpha"),
+            (("lab", "exchangeable", "--rule", "hintikka", "--t", "3", "--alpha", "5",
+              "--length", "2"), "--alpha"),
+            (("lab", "sufficientness", "--rule", "hintikka", "--t", "3",
+              "--params", "1,1,1"), "--params"),
+            (("lab", "exchangeable", "--rule", "laplace", "--t", "3", "--length", "2"),
+             "--t"),
+            (("lab", "sufficientness", "--rule", "haldane", "--alpha", "2",
+              "--lambda", "1"), "--lambda"),
+        ],
+    )
+    def test_lab_refuses_flags_its_rule_does_not_read(self, capsys, argv, flag):
+        # one case or more per rule family; before, each ran and ignored the flag
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: rule {argv[3]!r} does not take {flag}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lab", "exchangeable", "--rule", "hintikka", "--t", "3", "--alpha", "1",
+             "--length", "2"),
+            ("lab", "sufficientness", "--rule", "jeffreys-split", "--alpha", "2"),
+        ],
+    )
+    def test_lab_accepts_a_binary_alpha_and_a_default_one(self, capsys, argv):
+        # --alpha defaults to 1, so 1 cannot be told from no flag at all
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
     def test_falsified_generalization_exits_3(self, capsys):
         code, out, err = run(capsys, "posterior", "--n", "5", "--m", "1")
         assert code == 3
@@ -677,6 +718,23 @@ def test_untelescoped_products_exit_4_fast(argv, terms):
         f"error: ResourceLimit: a rising factorial of {terms} terms exceeds the "
         "cap of 10000 terms\n"
     )
+
+
+def test_import_needs_no_typing_module():
+    # typing adds about 5 ms to each process start on CPython 3.11, and no
+    # module needs it at run time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [
+            sys.executable, "-S", "-c",
+            f"import sys; sys.path.insert(0, {src!r}); import succession.cli; "
+            "print('typing' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_module_entry_point_runs():

@@ -35,8 +35,8 @@ from succession import (
     urn_law,
     variation_distance,
 )
-from succession.cli import LAB_RULES, _lab_rule
-from succession.lab import MAX_TABLE_SIZE, _check_shape, _compositions
+from succession.cli import LAB_RULE_READS, LAB_RULES, _lab_rule
+from succession.lab import MAX_TABLE_SIZE, _check_shape, _compositions, _levels
 
 
 def laplace_rule(counts):
@@ -372,13 +372,14 @@ class TestLawFromPredictive:
 
 
 def _cli_rule(name, t):
-    """The predictive rule ``succession lab`` builds for a rule name."""
+    """The predictive rule ``succession lab`` builds for a rule name, given
+    only the flags that rule reads (the CLI refuses the others)."""
+    reads = LAB_RULE_READS.get(name, ("alpha",))
+    values = {"params": (F(1), F(3, 2), F(2))[:t], "t": t, "lam": F(3, 2)}
     args = argparse.Namespace(
         rule=name,
-        params=(F(1), F(3, 2), F(2))[:t],
-        t=t,
-        lam=F(3, 2),
-        alpha=F(2),
+        **{k: v if k in reads else None for k, v in values.items()},
+        alpha=F(2) if "alpha" in reads else F(1),
     )
     rule, rule_t, _ = _lab_rule(args)
     assert rule_t == t
@@ -536,6 +537,62 @@ class TestClassPath:
         assert answers == (False, True)
         assert law.probability((1,) + (0,) * 19) == F(1, 40)
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "t,length",
+        # at t = 2 and length 2 the rule gives the uniform law, which is
+        # exchangeable, so that pair is left out
+        [(2, length) for length in range(3, 11)] + [(3, length) for length in range(2, 11)],
+    )
+    def test_class_walk_first_disagrees_at_the_last_level(self, t, length):
+        # Laplace below total length - 1, then (1/2, 1/2, 0, ...): every
+        # level of the class walk agrees but the last, and the dense table
+        # the fallback stores unclassified is not exchangeable
+        calls = []
+
+        def rule(counts):
+            calls.append(counts)
+            if sum(counts) < length - 1:
+                return laplace_rule(counts)
+            return (F(1, 2), F(1, 2)) + (F(0),) * (t - 2)
+
+        law = law_from_predictive(rule, t, length)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {
+            c for n in range(length) for c in itertools.product(range(n + 1), repeat=t)
+            if sum(c) == n
+        }
+        reference = chain_rule_table(rule, t, length)
+        assert law.class_table() is None and not is_exchangeable(law)
+        assert not table_is_exchangeable(reference, t, length)
+        assert law.probabilities == reference
+        assert has_positive_cylinders(law) == (t == 2)
+
+
+class TestTableOrder:
+    """``_levels`` against tallies counted from ``itertools.product``."""
+
+    @pytest.mark.parametrize("t,max_length", [(2, 12), (3, 7), (4, 5), (5, 4)])
+    def test_levels_give_each_sequence_its_tally(self, t, max_length):
+        levels = itertools.islice(_levels(t), max_length + 1)
+        for length, (ids, vectors) in enumerate(levels):
+            tallies = [
+                tuple(map(seq.count, range(t)))
+                for seq in itertools.product(range(t), repeat=length)
+            ]
+            assert [vectors[k] for k in ids] == tallies
+            # the vectors come in order of first appearance in table order
+            assert vectors == list(dict.fromkeys(tallies))
+
+    @pytest.mark.parametrize("t,length", [(2, 1), (2, 6), (2, 10), (3, 4), (3, 6), (4, 4)])
+    def test_dense_laws_classify_in_the_class_walk_order(self, t, length):
+        for rule in (laplace_rule, _polya_rule([F(1), F(2), F(1, 2), F(3)][:t], F(1, 2))):
+            law = law_from_predictive(rule, t, length)
+            table = law.class_table()
+            dense = SequenceLaw(t, length, law.probabilities)
+            assert dense._dense is not None
+            assert list(dense.class_table().items()) == list(table.items())
+            assert dense.count_distribution() == law.count_distribution()
 
 
 class TestExchangeability:
