@@ -339,29 +339,27 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
     _need(args, "rule")
     rule, params = args.rule, args.params
     reads = LAB_RULE_READS.get(rule, ("alpha",))
-    for dest, flag in (("params", "--params"), ("t", "--t"), ("lam", "--lambda")):
+    flags = {"params": "--params", "t": "--t", "lam": "--lambda"}
+    for dest, flag in flags.items():
         if dest not in reads and getattr(args, dest) is not None:
             raise ValueError(f"rule {rule!r} does not take {flag}")
-    # --alpha defaults to 1, so only another value shows it was set
+    # --alpha defaults to 1, so only another value shows it was set; it is
+    # never missing
     if "alpha" not in reads and args.alpha != 1:
         raise ValueError(f"rule {rule!r} does not take --alpha")
+    if any(getattr(args, dest) is None for dest in reads):
+        raise ValueError(f"--rule {rule} needs " + " and ".join(map(flags.get, reads)))
     echo: dict[str, str] = {"rule": rule}
     if rule == "dirichlet":
-        if params is None:
-            raise ValueError("--rule dirichlet needs --params")
         if len(params) < 2:
             raise ValueError("need at least two Dirichlet parameters")
         echo["params"] = ",".join(map(_text, params))
         return lambda counts: dirichlet_predictive(counts, params), len(params), echo
     if rule == "carnap":
-        if args.t is None or args.lam is None:
-            raise ValueError("--rule carnap needs --t and --lambda")
         t, lam = args.t, args.lam
         echo.update({"t": _text(t), "lambda": _text(lam)})
         return lambda counts: carnap_predictive(counts, lam), t, echo
     if rule == "hintikka":
-        if args.t is None:
-            raise ValueError("--rule hintikka needs --t")
         if args.t < 2:
             raise ValueError("need at least two outcome types")
         # built on the first rule call, after the lab's caps have passed

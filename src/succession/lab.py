@@ -7,20 +7,23 @@ law to a mixture of iid laws) are checked by inspection rather than
 simulation. Tables are capped; the lab is an oracle, not a production
 path.
 
-A law is integer numerators over one denominator. It keeps them per
-count vector (its class table) exactly when it is exchangeable, whichever
+A law is integer numerators over one denominator. It keeps them per count
+vector (its class table) exactly when it is exchangeable, whichever
 constructor built it, and per sequence in table order when it was built
 dense; its Fractions are made at the accessors. So exchangeability is read
 off the storage rather than rescanned, and every check and distance runs on
-integers. Urn laws, canonical mixtures and laws from an exchangeable
-predictive rule are built per class; the dense constructor classifies its
-table as it validates it. Pairwise operations use the class form when both
-operands carry it, which makes exhaustive sweeps over urns affordable. A
-predictive rule is walked on the count lattice first; a rule whose walk
-meets two sequences with equal counts and unequal probabilities gets the
-dense chain-rule table, built one level of prefixes at a time over one
-denominator per level and stored unclassified. A rule's vector is
-validated as integer numerators over the lcm of its denominators.
+integers. Every builder stores a law through one core, which also checks
+that it sums to 1, and every law the package builds lists its count vectors
+in table order (each at its first appearance among the sequences). Urn laws,
+canonical mixtures and laws from an exchangeable predictive rule are built
+per class; the dense constructor classifies its table as it validates it.
+Pairwise operations use the class form when both operands carry it, which
+makes exhaustive sweeps over urns affordable. A predictive rule is walked on
+the count lattice first; a rule whose walk meets two sequences with equal
+counts and unequal probabilities gets the dense chain-rule table, built one
+level of prefixes at a time over one denominator per level and stored
+unclassified. A rule's vector is validated as integer numerators over the
+lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -163,18 +166,20 @@ class SequenceLaw:
         per_id = dict(zip(ids, nums))
         same = all(map(operator.eq, map(per_id.__getitem__, ids), nums))
         classes = dict(zip(vectors, per_id.values())) if same else None
-        self._store(t, length, den, nums, classes)
+        self._store(t, length, den, classes, nums)
 
-    def _store(self, t: int, length: int, den: int, dense: list[int] | None,
-               classes: dict[tuple[int, ...], int] | None) -> "SequenceLaw":
-        # a dense table's one integer sum check; the class core checks its own
-        if dense is not None and sum(dense) != den:
-            raise ValueError("probabilities must sum to exactly 1")
+    def _store(self, t: int, length: int, den: int,
+               classes: dict[tuple[int, ...], int] | None,
+               dense: list[int] | None = None) -> "SequenceLaw":
+        # every builder's core: numerators over one denominator, stored as they
+        # are; per sequence or per count vector they must sum to it
         self.t = t
         self.length = length
         self._den = den
         self._dense = dense
         self._classes = classes
+        if sum(self._count_numerators().values() if dense is None else dense) != den:
+            raise ValueError("probabilities must sum to exactly 1")
         return self
 
     @classmethod
@@ -186,7 +191,7 @@ class SequenceLaw:
     ) -> "SequenceLaw":
         """Build a law constant on permutation classes from a complete map
         of count vector -> probability of each single sequence in that
-        class."""
+        class. The law keeps the map's order."""
         _check_shape(t, length)
         table: dict[tuple[int, ...], Fraction] = {}
         expected = math.comb(length + t - 1, t - 1)
@@ -207,18 +212,7 @@ class SequenceLaw:
                 f"expected {expected} count classes, got {len(table)}"
             )
         nums, den = _over_lcm([p.as_integer_ratio() for p in table.values()])
-        return cls._from_numerators(t, length, dict(zip(table, nums)), den)
-
-    @classmethod
-    def _from_numerators(
-        cls, t: int, length: int, nums: dict[tuple[int, ...], int], den: int
-    ) -> "SequenceLaw":
-        # the class core: numerators over one denominator sum to 1 in one
-        # integer comparison and are stored as they are
-        factorials = _factorials(length)
-        if sum(n * _multiplicity(c, factorials) for c, n in nums.items() if n) != den:
-            raise ValueError("probabilities must sum to exactly 1")
-        return cls.__new__(cls)._store(t, length, den, None, nums)
+        return cls.__new__(cls)._store(t, length, den, dict(zip(table, nums)))
 
     def _per_sequence(self, table: Mapping[tuple[int, ...], object]) -> Iterator:
         # the value a per-class table gives each sequence, in table order
@@ -243,8 +237,7 @@ class SequenceLaw:
         sums = [0] * len(vectors)
         for k, n in zip(ids, self._dense):
             sums[k] += n
-        out = dict(zip(vectors, sums))
-        return {c: out[c] for c in _compositions(self.length, self.t)}
+        return dict(zip(vectors, sums))
 
     def probability(self, sequence: Sequence[int]) -> Fraction:
         """Probability of one full sequence."""
@@ -283,14 +276,15 @@ class SequenceLaw:
 
     def class_table(self) -> dict[tuple[int, ...], Fraction] | None:
         """Count vector -> per-sequence probability; None exactly when the
-        law is not exchangeable."""
+        law is not exchangeable. Keys come in table order (first appearance
+        among the sequences) unless :meth:`from_class_probabilities` set them."""
         if self._classes is None:
             return None
         return {c: Fraction(n, self._den) for c, n in self._classes.items()}
 
     def count_distribution(self) -> dict[tuple[int, ...], Fraction]:
-        """Distribution of the empirical count vector: probability that the
-        ``length`` draws realize each composition."""
+        """Probability that the ``length`` draws realize each count vector,
+        keyed in the order of :meth:`class_table`, or in table order."""
         den = self._den
         return {c: Fraction(n, den) for c, n in self._count_numerators().items()}
 
@@ -301,8 +295,8 @@ class SequenceLaw:
 
 def _validated_vector(
     raw: Sequence[Fraction], t: int, rule_name: str
-) -> tuple[tuple[Fraction, ...], list[int], int]:
-    # a rule's vector, also as integer numerators over the lcm of its
+) -> tuple[list[int], int]:
+    # a rule's vector as integer numerators over the lcm of its
     # denominators; signs and the sum are checked on those integers
     try:
         vec = tuple(as_rational(p) for p in raw)
@@ -317,7 +311,7 @@ def _validated_vector(
         raise InvalidRule(f"{rule_name} returned a negative probability")
     if sum(nums) != den:
         raise InvalidRule(f"{rule_name} returned entries not summing to 1")
-    return vec, nums, den
+    return nums, den
 
 
 def _class_walk(
@@ -381,13 +375,13 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     def predictive(counts: tuple[int, ...]) -> tuple[list[int], int]:
         entry = cache.get(counts)
         if entry is None:
-            _, nums, den = _validated_vector(rule(counts), t, name)
-            entry = cache[counts] = nums, den
+            entry = cache[counts] = _validated_vector(rule(counts), t, name)
         return entry
 
     walked = _class_walk(predictive, t, length)
     if walked is not None:
-        return SequenceLaw._from_numerators(t, length, *walked)
+        classes, den = walked
+        return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, classes)
     # the class walk found two sequences with equal counts and different
     # probabilities, so the law is not exchangeable: the chain rule over
     # every prefix in table order, one level at a time over one denominator
@@ -401,7 +395,7 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
         for k, (vec, d) in rows.items():
             factors[k] = [a * (scale // d) for a in vec]
         nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
-    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, nums, None)
+    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, None, nums)
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:
@@ -444,14 +438,18 @@ def sufficientness_witness(
             f"{MAX_TABLE_SIZE} entries (count vectors times types)"
         )
     name = getattr(rule, "__name__", "rule")
-    seen: dict[tuple[int, int, int], tuple[tuple[int, ...], Fraction]] = {}
+    # (type, its tally, total) -> the first count vector and its prediction
+    # as (numerator, denominator); two predictions differ when cross products do
+    seen: dict[tuple[int, int, int], tuple[tuple[int, ...], int, int]] = {}
     for n in range(max_n + 1):
         for counts in _compositions(n, t):
-            vec, _, _ = _validated_vector(rule(counts), t, name)
-            for j in range(t):
-                counts_a, val_a = seen.setdefault((j, counts[j], n), (counts, vec[j]))
-                if val_a != vec[j]:
-                    return j, counts_a, counts, val_a, vec[j]
+            nums, den = _validated_vector(rule(counts), t, name)
+            for j, num in enumerate(nums):
+                first, num_a, den_a = seen.setdefault(
+                    (j, counts[j], n), (counts, num, den)
+                )
+                if num_a * den != num * den_a:
+                    return j, first, counts, Fraction(num_a, den_a), Fraction(num, den)
     return None
 
 
@@ -502,7 +500,8 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
         )
     _check_shape(urn.t, k)
     nums: dict[tuple[int, ...], int] = {}
-    for counts in _compositions(k, urn.t):
+    # table order: first appearance, the compositions' order reversed
+    for counts in reversed([*_compositions(k, urn.t)]):
         num = 1
         for balls, c in zip(urn.colors, counts):
             if c:  # falling(balls, 0) is 1
@@ -510,7 +509,8 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
                 if num == 0:
                     break
         nums[counts] = num
-    return SequenceLaw._from_numerators(urn.t, k, nums, falling(urn.total, k))
+    den = falling(urn.total, k)
+    return SequenceLaw.__new__(SequenceLaw)._store(urn.t, k, den, nums)
 
 
 def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
@@ -529,7 +529,7 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
     mixing = {m: w for m, w in law._count_numerators().items() if w}
     # a class gets sum_m mixing_m * prod_j m_j**c_j over law._den * n**k
     nums: dict[tuple[int, ...], int] = {}
-    for counts in _compositions(k, law.t):
+    for counts in reversed([*_compositions(k, law.t)]):  # in table order
         total = 0
         for m, term in mixing.items():
             for m_j, c_j in zip(m, counts):
@@ -537,7 +537,7 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
                     term *= m_j**c_j
             total += term
         nums[counts] = total
-    return SequenceLaw._from_numerators(law.t, k, nums, law._den * n**k)
+    return SequenceLaw.__new__(SequenceLaw)._store(law.t, k, law._den * n**k, nums)
 
 
 def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:

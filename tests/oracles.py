@@ -294,16 +294,18 @@ def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
 
 def count_distribution(law: SequenceLaw) -> dict[tuple[int, ...], Fraction]:
     """The mass of each count vector, one Fraction product per class or one
-    Fraction sum per sequence."""
+    Fraction sum per sequence, keyed in the class table's order or, for a
+    law without one, by first appearance in the law's table."""
     table = law.class_table()
     if table is not None:
         return {
             c: p * (factorial(law.length) // prod(factorial(m) for m in c)) if p else p
             for c, p in table.items()
         }
-    out = dict.fromkeys(_compositions(law.length, law.t), ZERO)
+    out: dict[tuple[int, ...], Fraction] = {}
     for seq, p in law.items():
-        out[tuple(seq.count(s) for s in range(law.t))] += p
+        counts = tuple(seq.count(s) for s in range(law.t))
+        out[counts] = out.get(counts, ZERO) + p
     return out
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+import cli_corpus
 from oracles import decimal_reference, parse_int
 from succession import (
     BinaryPrior,
@@ -750,6 +751,14 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert F(int(rec["exact"]["num"]), int(rec["exact"]["den"])) == F(48, 49)
+
+
+def test_cli_corpus_replays():
+    # every argv of cli_corpus.ARGVS through main, against cli_corpus.json;
+    # after a change to the contract made on purpose, regenerate the record
+    # with `PYTHONPATH=src python -S tests/cli_corpus.py --regenerate`
+    failures = cli_corpus.check()
+    assert not failures, "\n".join(failures)
 
 
 class TestLongNumbers:

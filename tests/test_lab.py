@@ -130,6 +130,11 @@ class TestSequenceLawConstruction:
             (lambda: SequenceLaw.from_class_probabilities(
                 2, 1, {(1, 0): F(3, 2), (0, 1): F(-1, 2)}),
              ValueError, "probabilities must be nonnegative"),
+            (lambda: SequenceLaw(2, 1, (F(1, 2), F(1, 3))), ValueError,
+             "probabilities must sum to exactly 1"),
+            (lambda: SequenceLaw.from_class_probabilities(
+                2, 2, {(2, 0): F(1, 2), (1, 1): F(1, 2), (0, 2): F(1, 2)}),
+             ValueError, "probabilities must sum to exactly 1"),
         ],
     )
     def test_refusal_messages(self, call, error, message):
@@ -593,6 +598,32 @@ class TestTableOrder:
             assert dense._dense is not None
             assert list(dense.class_table().items()) == list(table.items())
             assert dense.count_distribution() == law.count_distribution()
+
+    @pytest.mark.parametrize("t,length", [(2, 2), (2, 5), (3, 3), (4, 3)])
+    def test_every_builder_lists_count_vectors_in_table_order(self, t, length):
+        # the tallies of the sequences in table order, each at its first
+        # appearance, key every class table and count distribution
+        order = list(dict.fromkeys(
+            tuple(map(seq.count, range(t)))
+            for seq in itertools.product(range(t), repeat=length)
+        ))
+        walked = law_from_predictive(laplace_rule, t, length)
+        fallback = law_from_predictive(_prime_rule(t), t, length)
+        laws = {
+            "class walk": walked,
+            "dense fallback": fallback,
+            "dense, exchangeable": SequenceLaw(t, length, walked.probabilities),
+            "dense, not exchangeable": SequenceLaw(t, length, fallback.probabilities),
+            "urn_law": urn_law(UrnComposition(range(length, length + t)), length),
+            "canonical_mixture": canonical_mixture(
+                law_from_predictive(laplace_rule, t, length + 1), length
+            ),
+        }
+        assert not is_exchangeable(fallback)
+        for name, law in laws.items():
+            table = law.class_table()
+            assert table is None or list(table) == order, name
+            assert list(law.count_distribution()) == order, name
 
 
 class TestExchangeability:
