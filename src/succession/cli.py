@@ -471,6 +471,7 @@ def _cmd_lab_urn(args: argparse.Namespace) -> None:
 # -------------------------------------------------------------- wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="succession",

@@ -113,7 +113,7 @@ def rising(start: Fraction, count: int) -> Fraction:
 
 def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
     # the numerators of n/d over the lcm of the denominators, unreduced
-    den = math.lcm(*(d for _, d in ratios))
+    den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
 
 

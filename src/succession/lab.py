@@ -299,14 +299,14 @@ def _validated_vector(
     # a rule's vector as integer numerators over the lcm of its
     # denominators; signs and the sum are checked on those integers
     try:
-        vec = tuple(as_rational(p) for p in raw)
+        ratios = [as_rational(p).as_integer_ratio() for p in raw]
     except (TypeError, ValueError) as exc:
         raise InvalidRule(f"{rule_name} returned non-rational entries") from exc
-    if len(vec) != t:
+    if len(ratios) != t:
         raise InvalidRule(
-            f"{rule_name} returned {len(vec)} entries for {t} symbols"
+            f"{rule_name} returned {len(ratios)} entries for {t} symbols"
         )
-    nums, den = _over_lcm([p.as_integer_ratio() for p in vec])
+    nums, den = _over_lcm(ratios)
     if any(n < 0 for n in nums):
         raise InvalidRule(f"{rule_name} returned a negative probability")
     if sum(nums) != den:

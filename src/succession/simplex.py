@@ -55,8 +55,10 @@ def _counts(value: CountsLike) -> tuple[int, ...]:
     counts = tuple(value)
     if not counts:
         raise ValueError("need at least one outcome type")
-    if any(not _whole(c) or c < 0 for c in counts):
-        raise ValueError("counts must be nonnegative integers")
+    # plain ints pass in one scan; int subclasses take the full check
+    if not all(type(c) is int and c >= 0 for c in counts):
+        if any(not _whole(c) or c < 0 for c in counts):
+            raise ValueError("counts must be nonnegative integers")
     return counts
 
 
@@ -199,14 +201,14 @@ def dirichlet_predictive(
     Dirichlet: (n_j + k_j) / (n + k) for each type j, with k the parameter
     total. Exactly the add-k_j smoothing rule."""
     cts = _counts(counts)
-    ps = tuple(as_rational(p) for p in params)
-    if len(ps) != len(cts):
+    ratios = [as_rational(k).as_integer_ratio() for k in params]
+    if len(ratios) != len(cts):
         raise DimensionMismatch(
-            f"{len(ps)} parameters for {len(cts)} outcome types"
+            f"{len(ratios)} parameters for {len(cts)} outcome types"
         )
-    if any(p <= 0 for p in ps):
+    if any(p <= 0 for p, _ in ratios):
         raise ValueError("Dirichlet parameters must be positive")
-    shares, den = _face_shares(cts, ps)
+    shares, den = _face_shares(cts, ratios)
     return tuple(Fraction(s, den) for s in shares)
 
 
@@ -218,20 +220,20 @@ def carnap_predictive(counts: CountsLike, lam: RationalLike) -> tuple[Fraction, 
     to the uniform 1/t.
     """
     cts = _counts(counts)
-    lam = as_rational(lam)
-    if lam <= 0:
+    p, q = as_rational(lam).as_integer_ratio()
+    if p <= 0:
         raise ValueError("lambda must be positive")
-    share = lam / len(cts)
-    return dirichlet_predictive(cts, (share,) * len(cts))
+    shares, den = _face_shares(cts, [(p, q * len(cts))] * len(cts))
+    return tuple(Fraction(s, den) for s in shares)
 
 
 def _face_shares(
-    counts: Sequence[int], params: Sequence[Fraction]
+    counts: Sequence[int], params: list[tuple[int, int]]
 ) -> tuple[list[int], int]:
     """The Dirichlet predictive (n_j + k_j) / (n + k) over a face that holds
-    every observation, as integer numerators n_j*q + p_j over one
-    denominator n*q + P, with the parameters k_j = p_j/q over their lcm q."""
-    ps, q = _over_lcm([k.as_integer_ratio() for k in params])
+    every observation, as integer numerators n_j*q + p_j over one denominator
+    n*q + P; the parameters k_j come as integer ratios, p_j/q over their lcm q."""
+    ps, q = _over_lcm(params)
     shares = [n * q + p for n, p in zip(counts, ps)]
     return shares, sum(shares)
 
@@ -366,7 +368,9 @@ def mixture_predictive(
         return _symmetric_predictive(cts, *symmetric)
     nums, total = _posterior_numerators(cts, prior.components)
     faces = [
-        (a, comp.support, *_face_shares([cts[j] for j in comp.support], comp.params))
+        (a, comp.support, *_face_shares(
+            [cts[j] for j in comp.support], [k.as_integer_ratio() for k in comp.params]
+        ))
         for a, comp in zip(nums, prior.components)
         if a and not comp.is_vertex
     ]
@@ -398,10 +402,11 @@ def _symmetric_predictive(
     if not seen:
         return (Fraction(1, t),) * t
     a, rest = face.params[0], t - len(seen)
+    p, q = a.as_integer_ratio()
     ns = [counts[j] for j in seen]
     w = vertex_weight if len(seen) == 1 else ZERO
     wf = face.weight
-    m = beta_sequence_marginal(a, a * rest, ns[0], 0) if w and wf else ONE
+    m = beta_sequence_marginal(a, Fraction(p * rest, q), ns[0], 0) if w and wf else ONE
     face_pair = (wf.numerator * m.numerator, wf.denominator * m.denominator)
     (a_v, a_f), _ = _over_lcm([w.as_integer_ratio(), face_pair])
     if not a_v + a_f:
@@ -409,7 +414,7 @@ def _symmetric_predictive(
             f"the prior assigns probability 0 to counts {counts}"
         )
     # with every type seen the aggregate is empty: parameter 0, share 0
-    shares, d = _face_shares(ns + [0], [a] * len(seen) + [a * rest])
+    shares, d = _face_shares(ns + [0], [(p, q)] * len(seen) + [(p * rest, q)])
     *nums, rest_num = (share * a_f for share in shares)
     nums[0] += a_v * d
     den = d * (a_v + a_f)

@@ -19,8 +19,8 @@ Urn laws and canonical mixtures are also built the direct way, one
 integer-numerator constructions; the urn's falling factorials are
 factorial quotients. These two do use the lab's helpers for enumerating
 count classes and checking shapes. The variation distance, the count
-distribution, the extension test, the Dirichlet predictive and the mixture
-predictive are kept in the same spirit: the engine's former ``Fraction``
+distribution, the extension test, the Dirichlet, Carnap and mixture
+predictives are kept in the same spirit: the engine's former ``Fraction``
 routes, one ``Fraction`` operation per term, read through the public
 accessors, as the references for its integer routes.
 """
@@ -344,6 +344,15 @@ def dirichlet_predictive(counts: tuple[int, ...], params) -> tuple[Fraction, ...
         raise ValueError("Dirichlet parameters must be positive")
     denom = sum(counts) + sum(ps)
     return tuple((counts[j] + ps[j]) / denom for j in range(len(counts)))
+
+
+def carnap_predictive(counts: tuple[int, ...], lam) -> tuple[Fraction, ...]:
+    """The lambda continuum as the symmetric Dirichlet whose parameters are
+    each the Fraction lambda / t."""
+    lam = as_rational(lam)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return dirichlet_predictive(counts, (lam / len(counts),) * len(counts))
 
 
 def fraction_posterior_weights(

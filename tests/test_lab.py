@@ -342,6 +342,11 @@ class TestLawFromPredictive:
             ((F(2, 3), F(2, 3)), "returned entries not summing to 1"),
             ((0.5, 0.5), "returned non-rational entries"),
             (("x", F(1, 2)), "returned non-rational entries"),
+            ((True, False), "returned non-rational entries"),
+            ((None, F(1)), "returned non-rational entries"),
+            ((), "returned 0 entries for 2 symbols"),
+            (("3/2", "-1/2"), "returned a negative probability"),
+            ((1, 1), "returned entries not summing to 1"),
         ],
     )
     def test_invalid_rule_messages(self, output, message):
@@ -355,6 +360,10 @@ class TestLawFromPredictive:
             with pytest.raises(InvalidRule) as raised:
                 check()
             assert str(raised.value) == f"bad_rule {message}"
+
+    def test_any_iterable_of_entries_accepted(self):
+        law = law_from_predictive(lambda counts: iter((F(1, 4), "3/4")), 2, 2)
+        assert law.probabilities == (F(1, 16), F(3, 16), F(3, 16), F(9, 16))
 
     def test_string_and_integer_entries_accepted(self):
         law = law_from_predictive(lambda counts: ("1/2", "0.5"), 2, 3)

@@ -226,9 +226,7 @@ class TestSinglePredictives:
             counts, params
         )
         lam = params[0]
-        assert carnap_predictive(counts, lam) == oracles.dirichlet_predictive(
-            counts, (lam / len(counts),) * len(counts)
-        )
+        assert carnap_predictive(counts, lam) == oracles.carnap_predictive(counts, lam)
 
     def test_posterior_concentration_bound(self):
         # the predictive sits within k/(n+k) of the empirical frequency
@@ -239,6 +237,82 @@ class TestSinglePredictives:
             pred = dirichlet_predictive(counts, params)
             for j in range(3):
                 assert abs(pred[j] - F(counts[j], n)) <= k / (n + k)
+
+
+# the parameter grid of the integer-ratio kernel's checks; lambda 3 and 4
+# share a factor with t, so Carnap's shares come over an unreduced denominator
+KERNEL_PARAMS = (F(1, 3), F(1, 2), F(1), F(2), F(5, 2), F(7))
+KERNEL_LAMBDAS = KERNEL_PARAMS + (F(3), F(4))
+
+
+def _small_counts(t):
+    # every tally vector with at most 8 observations
+    return [c for c in itertools.product(range(9), repeat=t) if sum(c) <= 8]
+
+
+def _param_sets(t):
+    # every pair at t = 2; past that, the t-long windows of the cycled grid
+    if t == 2:
+        return list(itertools.product(KERNEL_PARAMS, repeat=2))
+    return [tuple(KERNEL_PARAMS[(i + j) % 6] for j in range(t)) for i in range(6)]
+
+
+class TestIntegerRatioKernel:
+    """The predictives run on integer ratios; the Fraction routes they
+    replaced, kept in the oracles, give the same tuples."""
+
+    @pytest.mark.parametrize("t", range(2, 6))
+    def test_dirichlet_equals_the_fraction_route(self, t):
+        for params in _param_sets(t):
+            for counts in _small_counts(t):
+                assert dirichlet_predictive(counts, params) == (
+                    oracles.dirichlet_predictive(counts, params)
+                ), (params, counts)
+
+    @pytest.mark.parametrize("t", range(2, 6))
+    def test_carnap_equals_the_fraction_route(self, t):
+        for lam in KERNEL_LAMBDAS:
+            for counts in _small_counts(t):
+                assert carnap_predictive(counts, lam) == (
+                    oracles.carnap_predictive(counts, lam)
+                ), (lam, counts)
+
+    def test_carnap_shares_reduce_over_a_common_factor(self):
+        # lambda/t = 1 at lambda = t: the shares n_j*t + lambda over n*t + t*lambda
+        assert carnap_predictive((0, 0), 2) == (F(1, 2), F(1, 2))
+        assert carnap_predictive((1, 0, 0), 3) == (F(1, 2), F(1, 4), F(1, 4))
+        assert carnap_predictive((2, 0, 2, 0), 4) == (F(3, 8), F(1, 8), F(3, 8), F(1, 8))
+
+    @pytest.mark.parametrize("t", range(2, 6))
+    def test_hintikka_equals_the_fraction_route(self, t):
+        prior = SimplexMixturePrior.hintikka_default(t)
+        for view in (prior, _per_face(prior)):
+            for counts in _small_counts(t):
+                assert mixture_predictive(view, counts) == (
+                    oracles.fraction_mixture_predictive(prior, counts)
+                ), counts
+
+    @pytest.mark.parametrize(
+        "binary",
+        [BinaryPrior.laplace(a, a) for a in KERNEL_PARAMS]
+        + [BinaryPrior(F(1, 2), F(1, 2), 0)],
+        ids=[f"laplace-{a}" for a in KERNEL_PARAMS] + ["two-point"],
+    )
+    def test_two_type_views_equal_the_fraction_route(self, binary):
+        prior = from_binary_prior(binary)
+        for view in (prior, _per_face(prior)):
+            for counts in _small_counts(2):
+                assert _outcome(lambda: mixture_predictive(view, counts)) == (
+                    _outcome(lambda: oracles.fraction_mixture_predictive(prior, counts))
+                ), counts
+
+    def test_int_subclass_counts_take_the_full_check(self):
+        class Count(int):
+            pass
+
+        counts = (Count(2), Count(1))
+        assert dirichlet_predictive(counts, (1, 1)) == (F(3, 5), F(2, 5))
+        assert carnap_predictive(counts, F(1, 2)) == carnap_predictive((2, 1), F(1, 2))
 
 
 class TestSequenceMarginal:
@@ -757,9 +831,58 @@ def test_observed_type_count():
          "lambda must be positive"),
         (lambda: sequence_marginal((1, 1), DirichletComponent.vertex(2, 1)),
          DimensionMismatch, "component support exceeds t=2"),
+        (lambda: dirichlet_predictive((1, 1), (0, 1)), ValueError,
+         "Dirichlet parameters must be positive"),
+        (lambda: dirichlet_predictive((1, 1), (1, "-2/3")), ValueError,
+         "Dirichlet parameters must be positive"),
+        (lambda: dirichlet_predictive((1, 1), (0.5, 1)), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: dirichlet_predictive((1, 1), (True, 1)), TypeError,
+         "expected a rational number, got a bool"),
+        (lambda: dirichlet_predictive((1, 1), ("junk", 1)), ValueError,
+         "not a rational literal: 'junk'"),
+        (lambda: dirichlet_predictive((1, 1), (None, 1)), TypeError,
+         "expected a rational number, got NoneType"),
+        (lambda: dirichlet_predictive((1, 1), (1, 1, 1)), DimensionMismatch,
+         "3 parameters for 2 outcome types"),
+        (lambda: dirichlet_predictive((1, 1), ()), DimensionMismatch,
+         "0 parameters for 2 outcome types"),
+        # every parameter is coerced before the count is checked, and the
+        # count before the signs
+        (lambda: dirichlet_predictive((1, 1), (1, 1, 0.5)), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: dirichlet_predictive((1, 1), (0, 1, 1)), DimensionMismatch,
+         "3 parameters for 2 outcome types"),
+        (lambda: dirichlet_predictive((1, -1), (1, 1)), ValueError,
+         "counts must be nonnegative integers"),
+        (lambda: dirichlet_predictive((True, 0), (1, 1)), ValueError,
+         "counts must be nonnegative integers"),
+        (lambda: dirichlet_predictive((1.0, 0), (1, 1)), ValueError,
+         "counts must be nonnegative integers"),
+        (lambda: dirichlet_predictive((), ()), ValueError,
+         "need at least one outcome type"),
+        pytest.param(lambda: carnap_predictive((1, 1), "-1/2"), ValueError,
+                     "lambda must be positive", id="negative-lambda"),
+        (lambda: carnap_predictive((1, 1), 0.5), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: carnap_predictive((1, 1), False), TypeError,
+         "expected a rational number, got a bool"),
+        (lambda: carnap_predictive((1, 1), "junk"), ValueError,
+         "not a rational literal: 'junk'"),
+        (lambda: carnap_predictive((1, 1.5), 1), ValueError,
+         "counts must be nonnegative integers"),
+        (lambda: carnap_predictive((), 1), ValueError,
+         "need at least one outcome type"),
+        (lambda: mixture_predictive(SimplexMixturePrior.hintikka_default(2),
+                                    (1, 0, 0)), DimensionMismatch,
+         "counts over 3 types against a prior with t=2"),
+        (lambda: mixture_predictive(SimplexMixturePrior.hintikka_default(2),
+                                    (1, -1)), ValueError,
+         "counts must be nonnegative integers"),
     ],
 )
 def test_refusal_messages(call, error, message):
     with pytest.raises(error) as raised:
         call()
+    assert type(raised.value) is error
     assert str(raised.value) == message
