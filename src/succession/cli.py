@@ -492,7 +492,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_tokens(path: str) -> list[str]:
+def _config_tokens(path: str, command: str) -> list[str]:
+    """The key=value lines of config file ``path`` as flag tokens; a key that
+    is no flag of the command path ``command`` is refused."""
+    flags = {flag for flag, _ in (*COMMANDS[command][1], *COMMON_FLAGS)}
     tokens: list[str] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -503,15 +506,22 @@ def _config_tokens(path: str) -> list[str]:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip().replace("_", "-")
-            if key != "config":
-                tokens.extend([f"--{key}", value.strip()])
+            if key == "config":
+                continue
+            if f"--{key}" not in flags:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} is not a flag of {command!r}"
+                )
+            tokens.extend([f"--{key}", value.strip()])
     return tokens
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
-    tokens = _config_tokens(args.config) if args.config else []
-    if tokens:
+    if not args.config:
+        return args
+    command = next(p for p, (*_, h) in COMMANDS.items() if h is args.handler)
+    if tokens := _config_tokens(args.config, command):
         # config supplies defaults: its tokens go before the user's, and
         # argparse lets later occurrences win
         head = next((i for i, a in enumerate(argv) if a.startswith("-")), len(argv))

@@ -360,23 +360,30 @@ def mixture_predictive(
     vertex adds its weight w at its type; a surviving face, which holds all n
     observations, adds w * (n_j + k_j) / (n + k_face) at each of its types j.
     Everything is summed as integer numerators over one denominator, and
-    each entry becomes one Fraction. A type-symmetric prior, such as
+    each entry becomes one Fraction. When exactly one weighted component
+    holds every observation, its posterior weight is 1 and its predictive is
+    the answer, with no marginal computed. A type-symmetric prior, such as
     ``hintikka_default``, is answered from its observed types alone, with
     the same result."""
     cts = _checked(prior, counts)
     if symmetric := prior._symmetric:
         return _symmetric_predictive(cts, *symmetric)
-    nums, total = _posterior_numerators(cts, prior.components)
+    comps, n = prior.components, sum(cts)
+    alive = [bool(c.weight) and sum(cts[j] for j in c.support) == n for c in comps]
+    if sum(alive) == 1:
+        nums, total = list(map(int, alive)), 1
+    else:
+        nums, total = _posterior_numerators(cts, comps)
     faces = [
         (a, comp.support, *_face_shares(
             [cts[j] for j in comp.support], [k.as_integer_ratio() for k in comp.params]
         ))
-        for a, comp in zip(nums, prior.components)
+        for a, comp in zip(nums, comps)
         if a and not comp.is_vertex
     ]
     den = math.lcm(*{d for *_, d in faces})
     out = [0] * len(cts)
-    for a, comp in zip(nums, prior.components):
+    for a, comp in zip(nums, comps):
         if a and comp.is_vertex:
             out[comp.support[0]] += a * den
     for a, support, shares, d in faces:

@@ -47,6 +47,7 @@ CONFIGS = {
     "bad-value.cfg": "n = many\n",
     "unknown-key.cfg": "colour = red\n",
     "urn.cfg": "urn = 3,3\nk = 2\n",
+    "rule-length.cfg": "rule = laplace\nlength = 3\n",
 }
 FORMATS = ((), ("--format", "json"), ("--format", "csv"))
 DIGITS = ((), ("--digits", "1"), ("--digits", "30"))
@@ -268,6 +269,7 @@ def _help_and_config() -> list[tuple[str, ...]]:
         ("lab", "exchangeable", "--config", "{dir}/lab.cfg"),
         ("lab", "exchangeable", "--config", "{dir}/lab.cfg", "--length", "4"),
         ("lab", "sufficientness", "--config", "{dir}/lab.cfg"),
+        ("lab", "sufficientness", "--config", "{dir}/rule-length.cfg"),
         ("lab", "df-check", "--config", "{dir}/urn.cfg"),
         ("lab", "df-check", "--config", "{dir}/urn.cfg", "--k", "3"),
         ("lab", "urn", "--config", "{dir}/urn.cfg"),

@@ -377,6 +377,17 @@ class TestConfigFile:
         code, out, err = run(capsys, "predict", "--config", str(cfg), "--n", "1")
         assert code == 2
 
+    def test_key_of_another_command_fails(self, capsys, tmp_path):
+        # --length is a flag of lab exchangeable, not of lab sufficientness:
+        # the package refuses it before argparse sees it
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("rule=laplace\nlength=3\n")
+        code, out, err = run(capsys, "lab", "sufficientness", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {cfg}:2: key 'length' is not a flag of 'lab sufficientness'\n"
+        )
+
     def test_missing_file_fails(self, capsys):
         code, out, err = run(
             capsys, "predict", "--config", "/no/such/file", "--n", "1"

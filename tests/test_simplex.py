@@ -746,13 +746,101 @@ class TestTypeSymmetricPriors:
         assert sum(first) == 1
 
     def test_face_shares_need_no_marginal(self):
-        # two observed types kill every vertex, so the face's predictive is
-        # the answer; the per-face engine still weighs the face by a marginal
-        # whose products are over the term cap
+        # two observed types kill every vertex, so the face alone survives and
+        # its predictive is the answer: neither engine computes the face's
+        # marginal, whose products are over the term cap
         prior = from_binary_prior(BinaryPrior.laplace(F(1, 2), F(1, 2)))
+        for engine in (prior, _per_face(prior)):
+            assert mixture_predictive(engine, (10**4, 10**4)) == (F(1, 2), F(1, 2))
+        n = 2 * 10**18
+        assert mixture_predictive(_per_face(prior), (n, 0)) == (
+            F(2 * n + 1, 2 * n + 2), F(1, 2 * n + 2)
+        )
+
+    def test_two_survivors_still_weigh_their_marginals(self):
+        # vertex 0 and the face both hold every observation, so the face's
+        # marginal weighs them, and its products are over the term cap
+        prior = from_binary_prior(BinaryPrior(F(1, 2), 0, F(1, 2), F(1, 2), F(1, 2)))
+        assert prior._symmetric is None
         with pytest.raises(ResourceLimit):
-            mixture_predictive(_per_face(prior), (10**4, 10**4))
-        assert mixture_predictive(prior, (10**4, 10**4)) == (F(1, 2), F(1, 2))
+            mixture_predictive(prior, (10**4 + 1, 0))
+
+
+# masses (theta=1, theta=0, continuous) of the binary priors the lone-survivor
+# grid views over two types: Haldane, Jeffreys-split, Laplace, general mixes,
+# and continuous parts of weight 0, whose face never survives
+LONE_SURVIVOR_MASSES = {
+    "haldane": (F(1, 2), F(0), F(1, 2)),
+    "jeffreys-split": (F(1, 4), F(1, 4), F(1, 2)),
+    "laplace": (F(0), F(0), F(1)),
+    "general-thirds": (THIRD, THIRD, THIRD),
+    "general-half": (F(1, 2), F(1, 4), F(1, 4)),
+    "general-no-theta0": (F(1, 4), F(0), F(3, 4)),
+    "general-no-theta1": (F(0), F(1, 2), F(1, 2)),
+    "general-eighths": (F(1, 8), F(1, 8), F(3, 4)),
+    "two-points": (F(1, 4), F(3, 4), F(0)),
+    "one-point": (F(1), F(0), F(0)),
+}
+LONE_SURVIVOR_SHAPES = (THIRD, F(1, 2), F(1), F(5, 2))
+
+
+def _up_to_eight(t):
+    # every count vector of at most 8 observations over t types
+    return (c for c in itertools.product(range(9), repeat=t) if sum(c) <= 8)
+
+
+def _assert_matches_all_marginals(prior):
+    """mixture_predictive, through whichever engine ``prior`` takes and
+    through the per-face one, against the Fraction oracle that weighs every
+    component by its marginal, refusals included; with integer parameters
+    also against the factorial oracle."""
+    integer = all(p.denominator == 1 for c in prior.components for p in c.params)
+    for counts in _up_to_eight(prior.t):
+        want = _outcome(lambda: oracles.fraction_mixture_predictive(prior, counts))
+        for engine in (prior, _per_face(prior)):
+            assert _outcome(lambda: mixture_predictive(engine, counts)) == want, counts
+        if integer and not isinstance(want[0], type):
+            assert want == tuple(
+                oracles.mixture_predictive(prior, counts, j) for j in range(prior.t)
+            ), counts
+
+
+class TestLoneSurvivor:
+    @pytest.mark.parametrize("masses", LONE_SURVIVOR_MASSES.values(),
+                             ids=LONE_SURVIVOR_MASSES.keys())
+    def test_binary_views_match_the_oracles(self, masses):
+        for alpha, beta in itertools.product(LONE_SURVIVOR_SHAPES, repeat=2):
+            _assert_matches_all_marginals(
+                from_binary_prior(BinaryPrior(*masses, alpha, beta))
+            )
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            from_binary_prior(BinaryPrior.jeffreys_split(2)),
+            from_binary_prior(BinaryPrior.laplace(1, 2)),
+            _reweighted_hintikka(3),
+            _reweighted_hintikka(4),
+            WITH_EDGES,
+            TWO_VERTICES_AND_FLAT,
+        ],
+        ids=["jeffreys-split-2", "laplace-1-2", "hintikka-reweighted-3",
+             "hintikka-reweighted-4", "with-edges", "two-vertices-and-flat"],
+    )
+    def test_named_priors_match_the_oracles(self, prior):
+        _assert_matches_all_marginals(prior)
+
+    def test_only_several_survivors_reach_a_marginal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a marginal was computed")
+
+        monkeypatch.setattr(simplex, "beta_sequence_marginal", refuse)
+        prior = from_binary_prior(BinaryPrior.haldane())
+        # a disconfirming instance kills the theta=1 point: the face alone
+        assert mixture_predictive(prior, (2, 1)) == (F(3, 5), F(2, 5))
+        # no disconfirming instance: the point and the face both survive
+        with pytest.raises(AssertionError, match="a marginal was computed"):
+            mixture_predictive(prior, (3, 0))
 
 
 class TestCrossModuleAgreement:
