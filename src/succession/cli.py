@@ -30,7 +30,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import replace
 from fractions import Fraction
 
-from .binary import BinaryPrior, Evidence, predict_block, predict_next
+from .binary import BinaryPrior, Evidence, _posterior, predict_block, predict_next
 from .errors import ResourceLimit, SuccessionError, UGFalsified, ZeroEvidenceProbability
 from .exact import ONE, as_rational, decimal_string, int_string, parse_int
 from .lab import (
@@ -49,7 +49,6 @@ from .simplex import (
     carnap_predictive,
     dirichlet_predictive,
     from_binary_prior,
-    mixture_posterior,
     mixture_predictive,
 )
 
@@ -303,8 +302,7 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     inputs = {"rule": args.rule, "n": _text(ev.confirm), "m": _text(ev.disconfirm)}
     inputs.update(echo)
 
-    counts = (ev.confirm, ev.disconfirm)
-    w1, w0, wc = mixture_posterior(from_binary_prior(prior), counts)
+    w1, w0, wc = _posterior(prior, ev)
     # posterior odds of the point masses against the continuous part are
     # their prior odds times the Bayes factor
     point_mass = prior.mass_theta1 + prior.mass_theta0
@@ -476,14 +474,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="succession",
         description="Exact predictive probabilities for enumerative induction.",
+        allow_abbrev=False,
     )
     subs = {"": parser.add_subparsers(dest="command", required=True)}
     for path, (help, flags, handler) in COMMANDS.items():
         group, _, name = path.rpartition(" ")
         if group not in subs:  # the one command group, "lab"
-            lab = subs[""].add_parser(group, help="exchangeability laboratory")
+            lab = subs[""].add_parser(
+                group, help="exchangeability laboratory", allow_abbrev=False
+            )
             subs[group] = lab.add_subparsers(dest="lab_command", required=True)
-        command = subs[group].add_parser(name, help=help)
+        command = subs[group].add_parser(name, help=help, allow_abbrev=False)
         # each command gets Action objects of its own, so a default one
         # command sets never leaks into another
         for flag, options in (*flags, *COMMON_FLAGS):

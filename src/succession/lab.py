@@ -19,11 +19,11 @@ canonical mixtures and laws from an exchangeable predictive rule are built
 per class; the dense constructor classifies its table as it validates it.
 Pairwise operations use the class form when both operands carry it, which
 makes exhaustive sweeps over urns affordable. A predictive rule is walked on
-the count lattice first; a rule whose walk meets two sequences with equal
-counts and unequal probabilities gets the dense chain-rule table, built one
-level of prefixes at a time over one denominator per level and stored
-unclassified. A rule's vector is validated as integer numerators over the
-lcm of its denominators.
+the count lattice first; when two orderings of a count vector get unequal
+probabilities, the dense chain-rule table continues from that level, reusing
+the predictions made there, one level of prefixes at a time over one
+denominator per level, and is stored unclassified. A rule's vector is
+validated as integer numerators over the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -314,37 +314,31 @@ def _validated_vector(
     return nums, den
 
 
-def _class_walk(
-    predictive: Callable[[tuple[int, ...]], tuple[list[int], int]],
-    t: int,
-    length: int,
-) -> tuple[dict[tuple[int, ...], int], int] | None:
-    """Per-sequence probability of each count vector of ``length`` draws,
-    as integer numerators over one denominator, built one level of the
-    count lattice at a time; None as soon as two sequences with equal
-    counts get different probabilities.
-
-    q(c + e_i) is q(c) * p_c(i) from every predecessor c. When all
-    predecessors agree at every level, each sequence's chain-rule product
-    equals q of its count vector, by induction on the length. When two
-    disagree, a sequence through one and a sequence through the other
-    share a count vector but not a probability. The rule is consulted only
-    where q(c) > 0. Each q is an unreduced pair (numerator, denominator).
-    """
-    level: dict[tuple[int, ...], tuple[int, int]] = {(0,) * t: (1, 1)}
-    for _ in range(length):
-        children: dict[tuple[int, ...], tuple[int, int]] = {}
-        for counts, (n, d) in level.items():
-            nums, den = predictive(counts) if n else ((0,) * t, 1)
-            for i in range(t):
-                child = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                value = (n * nums[i], d * den)
-                kept_n, kept_d = children.setdefault(child, value)
-                if kept_n * value[1] != value[0] * kept_d:
-                    return None
-        level = children
-    nums, den = _over_lcm(list(level.values()))
-    return dict(zip(level, nums)), den
+def _dense_from(rule: PredictiveRule, name: str, t: int, length: int, depth: int,
+                level: dict, read: dict) -> SequenceLaw:
+    """The chain rule over every prefix in table order, from the ``depth``
+    where the class walk found two orderings of a count vector to disagree:
+    ``level`` holds that depth's agreed probabilities per count vector in
+    table order, and ``read`` the rule's vectors read there. Each level is
+    integer numerators over one denominator, the previous level's times the
+    lcm of the rule's denominators at the count vectors of its positive
+    prefixes."""
+    classes, den = _over_lcm(list(level.values()))
+    nums, zeros = None, (0,) * t
+    for ids, vectors in itertools.islice(_levels(t), depth, length):
+        if nums is None:  # the level handed over: each prefix its class's numerator
+            nums = list(map(classes.__getitem__, ids))
+        live = dict.fromkeys(itertools.compress(ids, nums))
+        rows = {k: read.get(vectors[k]) or _validated_vector(rule(vectors[k]), t, name)
+                for k in live}
+        read = {}  # the handed-over level's reads are used up
+        scale = math.lcm(*(d for _, d in rows.values()))
+        den *= scale
+        factors = [zeros] * len(vectors)
+        for k, (vec, d) in rows.items():
+            factors[k] = [a * (scale // d) for a in vec]
+        nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
+    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, None, nums)
 
 
 def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLaw:
@@ -360,42 +354,39 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     the same count vector gets the same probability (the rule's
     predictions commute: p_c(i) p_{c+e_i}(j) = p_c(j) p_{c+e_j}(i) at
     every c of positive probability), the law is exchangeable and is
-    stored per class, one entry per count vector. At the first count
-    vector where two predecessors disagree, the law is known not to be
-    exchangeable, and the construction falls back to the dense table, one
-    entry per sequence, stored unclassified and reusing the predictions
-    already made. Each level of it is integer numerators over one
-    denominator: the previous level's times the lcm of the rule's
-    denominators at the count vectors of its positive prefixes.
+    stored per class, one entry per count vector. At the first level where
+    two predecessors of a count vector disagree, the law is known not to be
+    exchangeable, and the dense table, one entry per sequence, stored
+    unclassified, continues from that level, reusing the predictions
+    already made there.
     """
     _check_shape(t, length)
     name = getattr(rule, "__name__", "rule")
-    cache: dict[tuple[int, ...], tuple[list[int], int]] = {}
-
-    def predictive(counts: tuple[int, ...]) -> tuple[list[int], int]:
-        entry = cache.get(counts)
-        if entry is None:
-            entry = cache[counts] = _validated_vector(rule(counts), t, name)
-        return entry
-
-    walked = _class_walk(predictive, t, length)
-    if walked is not None:
-        classes, den = walked
-        return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, classes)
-    # the class walk found two sequences with equal counts and different
-    # probabilities, so the law is not exchangeable: the chain rule over
-    # every prefix in table order, one level at a time over one denominator
-    nums, den, zeros = [1], 1, (0,) * t
-    for ids, vectors in itertools.islice(_levels(t), length):
-        live = dict.fromkeys(itertools.compress(ids, nums))
-        rows = {k: predictive(vectors[k]) for k in live}
-        scale = math.lcm(*(d for _, d in rows.values()))
-        den *= scale
-        factors = [zeros] * len(vectors)
-        for k, (vec, d) in rows.items():
-            factors[k] = [a * (scale // d) for a in vec]
-        nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
-    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, None, nums)
+    # the class walk: q(c + e_i) is q(c) * p_c(i), an unreduced pair, from
+    # every predecessor c. While all agree, q of a count vector is each of its
+    # sequences' chain-rule product, by induction on the length; two that
+    # disagree give two orderings of one count vector different probabilities.
+    # Levels come in table order, and the rule is read only where q(c) > 0,
+    # its vectors kept for the current level alone
+    level: dict[tuple[int, ...], tuple[int, int]] = {(0,) * t: (1, 1)}
+    unread = ((0,) * t, 1)
+    for depth in range(length):
+        read: dict[tuple[int, ...], tuple[list[int], int]] = {}
+        children: dict[tuple[int, ...], tuple[int, int]] = {}
+        for counts, (n, d) in level.items():
+            if n:
+                read[counts] = _validated_vector(rule(counts), t, name)
+            nums, den = read.get(counts, unread)
+            for i in range(t):
+                child = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                value = (n * nums[i], d * den)
+                kept_n, kept_d = children.setdefault(child, value)
+                if kept_n * value[1] != value[0] * kept_d:
+                    return _dense_from(rule, name, t, length, depth, level, read)
+        level = children
+    nums, den = _over_lcm(list(level.values()))
+    classes = dict(zip(level, nums))
+    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, classes)
 
 
 def is_exchangeable(law: SequenceLaw) -> bool:

@@ -150,6 +150,11 @@ def _refusals() -> list[tuple[str, ...]]:
         ("predict", "--rule", "nope", "--n", "1"),
         ("predict", "--rule", "laplace", "--n"),
         ("predict", "--rule", "laplace", "--n", "1", "--zz", "1"),
+        # a prefix of a flag is no flag: argparse's abbreviations are off
+        ("compare", "--n", "3"),
+        ("predict", "--rule", "laplace", "--alph", "2", "--n", "3"),
+        ("lab", "exchangeable", "--rule", "carnap", "--t", "3", "--lam", "2",
+         "--len", "3"),
         ("predict", "--rule", "laplace", "--n", "x"),
         ("predict", "--rule", "laplace", "--n", "-4"),
         ("predict", "--rule", "laplace", "--n", "1_000"),

@@ -21,7 +21,7 @@ from succession import (
     predict_next,
     sufficientness_witness,
 )
-from succession.cli import main
+from succession.cli import COMMANDS, COMMON_FLAGS, main
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -435,6 +435,19 @@ class TestExitCodes:
     def test_usage_errors_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize("path", list(COMMANDS))
+    def test_a_prefix_of_a_flag_is_no_flag(self, capsys, path):
+        # argparse's abbreviations are off: "--n" is not "--n-list", and a
+        # prefix is refused unless it is a flag of the command itself
+        flags = {"--help", *(flag for flag, _ in (*COMMANDS[path][1], *COMMON_FLAGS))}
+        for flag in flags:
+            for prefix in (flag[:end] for end in range(3, len(flag))):
+                if prefix in flags:
+                    continue
+                code, out, err = run(capsys, *path.split(), prefix, "1")
+                assert code == 2, prefix
+                assert f"error: unrecognized arguments: {prefix} 1" in err, prefix
 
     @pytest.mark.parametrize(
         "argv, last_line",

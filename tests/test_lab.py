@@ -552,6 +552,41 @@ class TestClassPath:
         assert law.probability((1,) + (0,) * 19) == F(1, 40)
         assert elapsed < 2.0
 
+    def _hand_over(self, t, length, depth):
+        # Laplace below total depth, then (1/2, 1/2, 0, ...): every level of
+        # the class walk agrees up to depth, where two orderings disagree, so
+        # the dense table continues from there and is not exchangeable; type
+        # 2 and above are reachable only within the first depth draws
+        calls = []
+
+        def rule(counts):
+            calls.append(counts)
+            if sum(counts) < depth:
+                return laplace_rule(counts)
+            return (F(1, 2), F(1, 2)) + (F(0),) * (t - 2)
+
+        law = law_from_predictive(rule, t, length)
+        reads = list(calls)  # the reference below calls the rule too
+        assert len(reads) == len(set(reads))
+        assert set(reads) == {
+            c for n in range(length) for c in itertools.product(range(n + 1), repeat=t)
+            if sum(c) == n and sum(c[2:]) <= depth
+        }
+        reference = chain_rule_table(rule, t, length)
+        # level by level, each level in table order of its prefixes of
+        # positive probability, a prefix's being that of its block of the table
+        order = [
+            tuple(map(prefix.count, range(t)))
+            for n in range(length)
+            for i, prefix in enumerate(itertools.product(range(t), repeat=n))
+            if any(reference[i * t ** (length - n) : (i + 1) * t ** (length - n)])
+        ]
+        assert reads == list(dict.fromkeys(order))
+        assert law.class_table() is None and not is_exchangeable(law)
+        assert not table_is_exchangeable(reference, t, length)
+        assert law.probabilities == reference
+        assert has_positive_cylinders(law) == (t == 2)
+
     @pytest.mark.parametrize(
         "t,length",
         # at t = 2 and length 2 the rule gives the uniform law, which is
@@ -559,28 +594,18 @@ class TestClassPath:
         [(2, length) for length in range(3, 11)] + [(3, length) for length in range(2, 11)],
     )
     def test_class_walk_first_disagrees_at_the_last_level(self, t, length):
-        # Laplace below total length - 1, then (1/2, 1/2, 0, ...): every
-        # level of the class walk agrees but the last, and the dense table
-        # the fallback stores unclassified is not exchangeable
-        calls = []
+        self._hand_over(t, length, length - 1)
 
-        def rule(counts):
-            calls.append(counts)
-            if sum(counts) < length - 1:
-                return laplace_rule(counts)
-            return (F(1, 2), F(1, 2)) + (F(0),) * (t - 2)
-
-        law = law_from_predictive(rule, t, length)
-        assert len(calls) == len(set(calls))
-        assert set(calls) == {
-            c for n in range(length) for c in itertools.product(range(n + 1), repeat=t)
-            if sum(c) == n
-        }
-        reference = chain_rule_table(rule, t, length)
-        assert law.class_table() is None and not is_exchangeable(law)
-        assert not table_is_exchangeable(reference, t, length)
-        assert law.probabilities == reference
-        assert has_positive_cylinders(law) == (t == 2)
+    @pytest.mark.parametrize(
+        "t,length,depth",
+        # the walk first disagrees at depth 2 and up at t = 2 (below, the
+        # rule gives the uniform law) and at depth 1 and up at t = 3; the
+        # last level is the test above, and t = 3 stops at 3**8 sequences
+        [(t, length, depth) for t, low, top in ((2, 2, 10), (3, 1, 8))
+         for length in range(3, top + 1) for depth in range(low, length - 1)],
+    )
+    def test_dense_table_continues_from_every_depth(self, t, length, depth):
+        self._hand_over(t, length, depth)
 
 
 class TestTableOrder:
