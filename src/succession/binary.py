@@ -22,12 +22,11 @@ part gives the (n+1)(n+4)/((n+2)(n+3)) rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UGFalsified
 from .exact import ONE, ZERO, RationalLike, _whole, as_rational, rising_ratio
-from .simplex import _binary_faces, _posterior_weights, _weighted_marginals
+from .simplex import _binary_faces, _Frozen, _posterior_weights, _weighted_marginals
 
 __all__ = [
     "Evidence",
@@ -42,51 +41,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(_Frozen):
     """A tally of observed instances: ``confirm`` supporting cases and
     ``disconfirm`` counterexamples. Order of arrival is irrelevant
     throughout (all the models here are exchangeable)."""
 
-    confirm: int
-    disconfirm: int = 0
+    __match_args__ = ("confirm", "disconfirm")
 
-    def __post_init__(self) -> None:
-        for name in ("confirm", "disconfirm"):
-            v = getattr(self, name)
-            if not _whole(v) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
+    def __init__(self, confirm: int, disconfirm: int = 0) -> None:
+        if not _whole(confirm) or confirm < 0:
+            raise ValueError("confirm must be a nonnegative integer")
+        if not _whole(disconfirm) or disconfirm < 0:
+            raise ValueError("disconfirm must be a nonnegative integer")
+        self.__dict__.update(confirm=confirm, disconfirm=disconfirm)
 
     @property
     def total(self) -> int:
         return self.confirm + self.disconfirm
 
 
-@dataclass(frozen=True)
-class BinaryPrior:
+class BinaryPrior(_Frozen):
     """A three-part prior over the confirmation chance.
 
     ``mass_theta1``, ``mass_theta0``, and ``mass_continuous`` must be
     nonnegative rationals summing to exactly one; ``alpha`` and ``beta``
     are the positive shape parameters of the continuous Beta part (they
-    are validated even when that part carries no mass).
+    are validated even when that part carries no mass). Each is stored as
+    a Fraction.
     """
 
-    mass_theta1: Fraction
-    mass_theta0: Fraction
-    mass_continuous: Fraction
-    alpha: Fraction = ONE
-    beta: Fraction = ONE
+    __match_args__ = ("mass_theta1", "mass_theta0", "mass_continuous", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        for name in ("mass_theta1", "mass_theta0", "mass_continuous", "alpha", "beta"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if min(self.mass_theta1, self.mass_theta0, self.mass_continuous) < 0:
+    def __init__(
+        self,
+        mass_theta1: RationalLike,
+        mass_theta0: RationalLike,
+        mass_continuous: RationalLike,
+        alpha: RationalLike = ONE,
+        beta: RationalLike = ONE,
+    ) -> None:
+        m1, m0 = as_rational(mass_theta1), as_rational(mass_theta0)
+        mc = as_rational(mass_continuous)
+        alpha, beta = as_rational(alpha), as_rational(beta)
+        if min(m1, m0, mc) < 0:
             raise ValueError("prior masses must be nonnegative")
-        if self.mass_theta1 + self.mass_theta0 + self.mass_continuous != 1:
+        if m1 + m0 + mc != 1:
             raise ValueError("prior masses must sum to exactly 1")
-        if self.alpha <= 0 or self.beta <= 0:
+        if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
+        self.__dict__.update(mass_theta1=m1, mass_theta0=m0, mass_continuous=mc,
+                             alpha=alpha, beta=beta)
 
     @classmethod
     def laplace(cls, alpha: RationalLike = 1, beta: RationalLike = 1) -> "BinaryPrior":

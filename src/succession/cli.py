@@ -27,23 +27,11 @@ import json
 import sys
 from argparse import ArgumentTypeError
 from collections.abc import Callable, Sequence
-from dataclasses import replace
 from fractions import Fraction
 
 from .binary import BinaryPrior, Evidence, _posterior, predict_block, predict_next
 from .errors import ResourceLimit, SuccessionError, UGFalsified, ZeroEvidenceProbability
 from .exact import ONE, as_rational, decimal_string, int_string, parse_int
-from .lab import (
-    UrnComposition,
-    canonical_mixture,
-    df_bound,
-    has_positive_cylinders,
-    is_exchangeable,
-    law_from_predictive,
-    sufficientness_witness,
-    urn_law,
-    variation_distance,
-)
 from .simplex import (
     SimplexMixturePrior,
     carnap_predictive,
@@ -53,6 +41,8 @@ from .simplex import (
 )
 
 __all__ = ["main"]
+
+# the lab handlers import lab themselves: the other commands never load it
 
 MAX_DIGITS = 10_000
 # per-sequence listings switch to per-class summaries above this many rows
@@ -240,7 +230,8 @@ def _build_prior(args: argparse.Namespace) -> tuple[BinaryPrior, dict[str, str]]
         raise ValueError(f"rule {rule!r} is defined with beta = 1")
     else:
         # beta is 1 unless the rule takes it (checked above)
-        prior = replace(NAMED_PRIORS[rule](alpha), beta=beta)
+        prior = (BinaryPrior.laplace(alpha, beta) if rule == "laplace"
+                 else NAMED_PRIORS[rule](alpha))
         if odds is not None:
             if prior.mass_theta1 + prior.mass_theta0 == 0:
                 raise ValueError(f"--prior-odds is meaningless for {rule} "
@@ -375,13 +366,15 @@ def _lab_rule(args: argparse.Namespace) -> tuple[Callable, int, dict[str, str]]:
     *LAB_RULE_FLAGS, _opt("--length", type=_positive_int),
 )
 def _cmd_lab_exchangeable(args: argparse.Namespace) -> None:
+    from . import lab
+
     _need(args, "rule", "length")
     rule_fn, t, echo = _lab_rule(args)
     echo["length"] = _text(args.length)
-    law = law_from_predictive(rule_fn, t, args.length)
+    law = lab.law_from_predictive(rule_fn, t, args.length)
     checks = {
-        "exchangeable": is_exchangeable(law),
-        "positive-cylinders": has_positive_cylinders(law),
+        "exchangeable": lab.is_exchangeable(law),
+        "positive-cylinders": lab.has_positive_cylinders(law),
     }
     records = [_record(name, echo, held, args.digits) for name, held in checks.items()]
     lines = [f"{name}: {'yes' if held else 'no'}" for name, held in checks.items()]
@@ -394,9 +387,11 @@ def _cmd_lab_exchangeable(args: argparse.Namespace) -> None:
     *LAB_RULE_FLAGS, _opt("--max-n", type=_count, default=5),
 )
 def _cmd_lab_sufficientness(args: argparse.Namespace) -> None:
+    from . import lab
+
     rule_fn, t, echo = _lab_rule(args)
     echo["max_n"] = _text(args.max_n)
-    witness = sufficientness_witness(rule_fn, t, args.max_n)
+    witness = lab.sufficientness_witness(rule_fn, t, args.max_n)
     records = [_record("sufficientness", echo, witness is None, args.digits)]
     if witness is None:
         lines = [f"sufficientness: holds for all samples up to n={args.max_n}"]
@@ -422,13 +417,15 @@ def _cmd_lab_sufficientness(args: argparse.Namespace) -> None:
     _opt("--urn", type=_counts, help="ball counts per color, comma separated"), K,
 )
 def _cmd_lab_df_check(args: argparse.Namespace) -> None:
+    from . import lab
+
     _need(args, "urn", "k")
-    urn = UrnComposition(args.urn)
+    urn = lab.UrnComposition(args.urn)
     echo = {"urn": ",".join(map(int_string, urn.colors)), "k": _text(args.k)}
-    restricted = urn_law(urn, args.k)
-    mixture = canonical_mixture(urn_law(urn, urn.total), args.k)
-    distance = variation_distance(restricted, mixture)
-    values = {"distance": distance, "bound": df_bound(urn.t, args.k, urn.total)}
+    restricted = lab.urn_law(urn, args.k)
+    mixture = lab.canonical_mixture(lab.urn_law(urn, urn.total), args.k)
+    distance = lab.variation_distance(restricted, mixture)
+    values = {"distance": distance, "bound": lab.df_bound(urn.t, args.k, urn.total)}
     within = distance <= values["bound"]
     records = [_record(name, echo, v, args.digits) for name, v in values.items()]
     records.append(_record("within-bound", echo, within, args.digits))
@@ -443,9 +440,11 @@ def _cmd_lab_df_check(args: argparse.Namespace) -> None:
     _opt("--colors", type=_counts), K,
 )
 def _cmd_lab_urn(args: argparse.Namespace) -> None:
+    from . import lab
+
     _need(args, "colors", "k")
-    urn = UrnComposition(args.colors)
-    law = urn_law(urn, args.k)
+    urn = lab.UrnComposition(args.colors)
+    law = lab.urn_law(urn, args.k)
     echo = {"colors": ",".join(map(int_string, urn.colors)), "k": _text(args.k)}
     records, lines = [], []
 

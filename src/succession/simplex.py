@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -62,8 +61,38 @@ def _counts(value: CountsLike) -> tuple[int, ...]:
     return counts
 
 
-@dataclass(frozen=True)
-class DirichletComponent:
+class _Frozen:
+    """What the package's value classes share: ``==`` (same class only),
+    ``hash`` and ``repr`` over the fields ``__match_args__`` names, and no
+    assignment or deletion. Each subclass's ``__init__`` checks its fields
+    and stores them through ``self.__dict__``; a ``cached_property`` does
+    the same, outside the fields."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = map("{}={!r}".format, self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DirichletComponent(_Frozen):
     """One mixture component: a distribution over a face of the simplex.
 
     ``support`` lists the type indices (0-based, strictly increasing) the
@@ -72,17 +101,15 @@ class DirichletComponent:
     parameter per supported type, in support order.
     """
 
-    support: tuple[int, ...]
-    params: tuple[Fraction, ...]
-    weight: Fraction
+    __match_args__ = ("support", "params", "weight")
 
-    def __post_init__(self) -> None:
-        support = tuple(self.support)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(
-            self, "params", tuple(as_rational(p) for p in self.params)
-        )
-        object.__setattr__(self, "weight", as_rational(self.weight))
+    def __init__(
+        self, support: Sequence[int], params: Sequence[RationalLike],
+        weight: RationalLike,
+    ) -> None:
+        support = tuple(support)
+        params = tuple(as_rational(p) for p in params)
+        weight = as_rational(weight)
         if len(support) == 0:
             raise ValueError("support must be nonempty")
         if any(not _whole(j) or j < 0 for j in support):
@@ -90,17 +117,18 @@ class DirichletComponent:
         if any(a >= b for a, b in zip(support, support[1:])):
             raise ValueError("support indices must be strictly increasing")
         if len(support) == 1:
-            if self.params:
+            if params:
                 raise ValueError("a vertex point mass takes no parameters")
         else:
-            if len(self.params) != len(support):
+            if len(params) != len(support):
                 raise DimensionMismatch(
                     "need one Dirichlet parameter per supported type"
                 )
-            if any(p <= 0 for p in self.params):
+            if any(p <= 0 for p in params):
                 raise ValueError("Dirichlet parameters must be positive")
-        if self.weight < 0:
+        if weight < 0:
             raise ValueError("component weight must be nonnegative")
+        self.__dict__.update(support=support, params=params, weight=weight)
 
     @classmethod
     def vertex(cls, index: int, weight: RationalLike) -> "DirichletComponent":
@@ -122,33 +150,32 @@ class DirichletComponent:
 def _component(
     support: tuple[int, ...], params: tuple[Fraction, ...], weight: Fraction
 ) -> DirichletComponent:
-    """A DirichletComponent from checked parts, without ``__post_init__``."""
+    """A DirichletComponent from checked parts, without the checks."""
     comp = object.__new__(DirichletComponent)
     comp.__dict__.update(support=support, params=params, weight=weight)
     return comp
 
 
-@dataclass(frozen=True)
-class SimplexMixturePrior:
+class SimplexMixturePrior(_Frozen):
     """A finite mixture of simplex components over ``t`` outcome types."""
 
-    t: int
-    components: tuple[DirichletComponent, ...]
+    __match_args__ = ("t", "components")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not _whole(self.t) or self.t < 2:
+    def __init__(self, t: int, components: Sequence[DirichletComponent]) -> None:
+        components = tuple(components)
+        if not _whole(t) or t < 2:
             raise ValueError("need at least two outcome types")
-        if not self.components:
+        if not components:
             raise ValueError("need at least one component")
-        for comp in self.components:
-            if comp.support[-1] >= self.t:
+        for comp in components:
+            if comp.support[-1] >= t:
                 raise DimensionMismatch(
-                    f"support index {comp.support[-1]} out of range for t={self.t}"
+                    f"support index {comp.support[-1]} out of range for t={t}"
                 )
-        nums, den = _over_lcm([c.weight.as_integer_ratio() for c in self.components])
+        nums, den = _over_lcm([c.weight.as_integer_ratio() for c in components])
         if sum(nums) != den:
             raise ValueError("component weights must sum to exactly 1")
+        self.__dict__.update(t=t, components=components)
 
     @classmethod
     def hintikka_default(cls, t: int) -> "SimplexMixturePrior":

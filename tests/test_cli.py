@@ -762,6 +762,52 @@ def test_import_needs_no_typing_module():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+FRESH_COMMANDS = (
+    ("predict", "--rule", "haldane", "--n", "5"),
+    ("posterior", "--rule", "haldane", "--n", "5"),
+    ("compare", "--n-list", "1,10"),
+    ("lab", "exchangeable", "--rule", "laplace", "--length", "3"),
+    ("lab", "sufficientness", "--rule", "carnap", "--t", "2", "--lambda", "1",
+     "--max-n", "2"),
+    ("lab", "df-check", "--urn", "2,2", "--k", "2"),
+    ("lab", "urn", "--colors", "2,2", "--k", "2"),
+)
+# the module a lab command loads only when it runs, and ones none may load
+WATCHED = ("succession.lab", "dataclasses", "inspect", "typing")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        argv + fmt
+        for argv in FRESH_COMMANDS
+        for fmt in ((), ("--format", "json"), ("--format", "csv"))
+        if argv[0] != "lab" or fmt
+    ],
+    ids=" ".join,
+)
+def test_a_fresh_process_loads_what_its_command_uses(capsys, argv):
+    # in-process runs share one sys.modules, so only a fresh process shows
+    # what its command imports: lab only for a lab command, dataclasses,
+    # inspect and typing never
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from succession.cli import main; "
+        "code = main(sys.argv[1:]); "
+        f"print(*(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    loaded = "succession.lab\n" if argv[0] == "lab" else "\n"
+    assert (proc.returncode, proc.stderr) == (0, loaded)
+    assert (0, proc.stdout, "") == run(capsys, *argv)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [
