@@ -26,7 +26,7 @@ from .simplex import *
 
 __version__ = "0.1.0"
 
-# lab.__all__, resolved by __getattr__ below (PEP 562)
+# lab's __all__ (lab imports it from here), resolved by __getattr__ below (PEP 562)
 _LAB_NAMES = (
     "SequenceLaw",
     "UrnComposition",

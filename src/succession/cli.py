@@ -12,7 +12,8 @@ JSON, or CSV; every value travels as an exact numerator/denominator pair
 of decimal strings plus a fixed-point decimal rendered with ties-to-even
 rounding.
 
-Exit codes: 0 success, 2 usage error, 3 model contradiction
+Exit codes: 0 success, 1 stdout closed by its reader (BrokenPipeError;
+nothing more is written), 2 usage error, 3 model contradiction
 (ZeroEvidenceProbability or UGFalsified, named on stderr), 4 resource
 limit (ResourceLimit: a sequence table over the size cap, a sufficientness
 search over the count-vector cap, or a rising factorial over the term cap).
@@ -24,6 +25,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from argparse import ArgumentTypeError
 from collections.abc import Callable, Sequence
@@ -543,6 +545,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         args.handler(args)
+        print(end="", flush=True)  # sys.stdout.flush(), skipped when it is None
+    except BrokenPipeError:  # reader gone: exit 1, and flush at exit into devnull
+        import contextlib  # only here, as lab only in its handlers
+
+        with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # if stdout has an fd
+        return 1
     except (SuccessionError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), 2)

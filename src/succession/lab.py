@@ -34,23 +34,9 @@ import operator
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
+from . import _LAB_NAMES as __all__  # the package lists them before lab loads
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
 from .exact import _over_lcm, _whole, as_rational, falling, int_string
-
-__all__ = [
-    "SequenceLaw",
-    "UrnComposition",
-    "law_from_predictive",
-    "is_exchangeable",
-    "has_positive_cylinders",
-    "satisfies_sufficientness",
-    "sufficientness_witness",
-    "urn_law",
-    "canonical_mixture",
-    "variation_distance",
-    "df_bound",
-    "admits_exchangeable_extension",
-]
 
 # Every law, exchangeable or not, is refused when its t**length sequences or
 # its count classes times t exceed this (t=2 to length 20, t=3 to 12 fit).
@@ -249,10 +235,8 @@ class SequenceLaw:
                 f"expected a sequence of {self.length} symbols in 0..{self.t - 1}"
             )
         if self._classes is not None:
-            counts = [0] * self.t
-            for s in seq:
-                counts[s] += 1
-            return Fraction(self._classes[tuple(counts)], self._den)
+            counts = tuple(map(seq.count, range(self.t)))
+            return Fraction(self._classes[counts], self._den)
         index = 0
         for s in seq:
             index = index * self.t + s
@@ -293,28 +277,29 @@ class SequenceLaw:
         return f"SequenceLaw(t={self.t}, length={self.length}, {kind})"
 
 
-def _validated_vector(
-    raw: Sequence[Fraction], t: int, rule_name: str
+def _read(
+    rule: PredictiveRule, counts: tuple[int, ...], t: int
 ) -> tuple[list[int], int]:
-    # a rule's vector as integer numerators over the lcm of its
-    # denominators; signs and the sum are checked on those integers
+    # the rule's vector at ``counts`` as integer numerators over the lcm of
+    # its denominators; signs and the sum are checked on those integers, and
+    # an error of the rule's own passes through unchanged
+    raw = rule(counts)
+    name = getattr(rule, "__name__", "rule")
     try:
         ratios = [as_rational(p).as_integer_ratio() for p in raw]
     except (TypeError, ValueError) as exc:
-        raise InvalidRule(f"{rule_name} returned non-rational entries") from exc
+        raise InvalidRule(f"{name} returned non-rational entries") from exc
     if len(ratios) != t:
-        raise InvalidRule(
-            f"{rule_name} returned {len(ratios)} entries for {t} symbols"
-        )
+        raise InvalidRule(f"{name} returned {len(ratios)} entries for {t} symbols")
     nums, den = _over_lcm(ratios)
     if any(n < 0 for n in nums):
-        raise InvalidRule(f"{rule_name} returned a negative probability")
+        raise InvalidRule(f"{name} returned a negative probability")
     if sum(nums) != den:
-        raise InvalidRule(f"{rule_name} returned entries not summing to 1")
+        raise InvalidRule(f"{name} returned entries not summing to 1")
     return nums, den
 
 
-def _dense_from(rule: PredictiveRule, name: str, t: int, length: int, depth: int,
+def _dense_from(rule: PredictiveRule, t: int, length: int, depth: int,
                 level: dict, read: dict) -> SequenceLaw:
     """The chain rule over every prefix in table order, from the ``depth``
     where the class walk found two orderings of a count vector to disagree:
@@ -329,8 +314,7 @@ def _dense_from(rule: PredictiveRule, name: str, t: int, length: int, depth: int
         if nums is None:  # the level handed over: each prefix its class's numerator
             nums = list(map(classes.__getitem__, ids))
         live = dict.fromkeys(itertools.compress(ids, nums))
-        rows = {k: read.get(vectors[k]) or _validated_vector(rule(vectors[k]), t, name)
-                for k in live}
+        rows = {k: read.get(vectors[k]) or _read(rule, vectors[k], t) for k in live}
         read = {}  # the handed-over level's reads are used up
         scale = math.lcm(*(d for _, d in rows.values()))
         den *= scale
@@ -361,7 +345,6 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
     already made there.
     """
     _check_shape(t, length)
-    name = getattr(rule, "__name__", "rule")
     # the class walk: q(c + e_i) is q(c) * p_c(i), an unreduced pair, from
     # every predecessor c. While all agree, q of a count vector is each of its
     # sequences' chain-rule product, by induction on the length; two that
@@ -375,14 +358,14 @@ def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLa
         children: dict[tuple[int, ...], tuple[int, int]] = {}
         for counts, (n, d) in level.items():
             if n:
-                read[counts] = _validated_vector(rule(counts), t, name)
+                read[counts] = _read(rule, counts, t)
             nums, den = read.get(counts, unread)
             for i in range(t):
                 child = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
                 value = (n * nums[i], d * den)
                 kept_n, kept_d = children.setdefault(child, value)
                 if kept_n * value[1] != value[0] * kept_d:
-                    return _dense_from(rule, name, t, length, depth, level, read)
+                    return _dense_from(rule, t, length, depth, level, read)
         level = children
     nums, den = _over_lcm(list(level.values()))
     classes = dict(zip(level, nums))
@@ -428,13 +411,12 @@ def sufficientness_witness(
             f"{int_string(max_n)} observations predicts more than "
             f"{MAX_TABLE_SIZE} entries (count vectors times types)"
         )
-    name = getattr(rule, "__name__", "rule")
     # (type, its tally, total) -> the first count vector and its prediction
     # as (numerator, denominator); two predictions differ when cross products do
     seen: dict[tuple[int, int, int], tuple[tuple[int, ...], int, int]] = {}
     for n in range(max_n + 1):
         for counts in _compositions(n, t):
-            nums, den = _validated_vector(rule(counts), t, name)
+            nums, den = _read(rule, counts, t)
             for j, num in enumerate(nums):
                 first, num_a, den_a = seen.setdefault(
                     (j, counts[j], n), (counts, num, den)

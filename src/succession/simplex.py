@@ -116,16 +116,12 @@ class DirichletComponent(_Frozen):
             raise ValueError("support indices must be nonnegative integers")
         if any(a >= b for a, b in zip(support, support[1:])):
             raise ValueError("support indices must be strictly increasing")
-        if len(support) == 1:
-            if params:
-                raise ValueError("a vertex point mass takes no parameters")
-        else:
-            if len(params) != len(support):
-                raise DimensionMismatch(
-                    "need one Dirichlet parameter per supported type"
-                )
-            if any(p <= 0 for p in params):
-                raise ValueError("Dirichlet parameters must be positive")
+        if len(support) == 1 and params:
+            raise ValueError("a vertex point mass takes no parameters")
+        if len(support) > 1 and len(params) != len(support):
+            raise DimensionMismatch("need one Dirichlet parameter per supported type")
+        if any(p <= 0 for p in params):
+            raise ValueError("Dirichlet parameters must be positive")
         if weight < 0:
             raise ValueError("component weight must be nonnegative")
         self.__dict__.update(support=support, params=params, weight=weight)
@@ -330,12 +326,9 @@ def _weighted_marginals(
     n = sum(counts)
     pairs = []
     for c in components:
-        m = _marginal(counts, n, c) if c.weight else ZERO
-        if m:
-            w = c.weight
-            pairs.append((w.numerator * m.numerator, w.denominator * m.denominator))
-        else:
-            pairs.append((0, 1))
+        w = c.weight
+        m = _marginal(counts, n, c) if w else ZERO
+        pairs.append((w.numerator * m.numerator, w.denominator * m.denominator))
     return _over_lcm(pairs)
 
 
@@ -383,36 +376,33 @@ def mixture_predictive(
     prior: SimplexMixturePrior, counts: CountsLike
 ) -> tuple[Fraction, ...]:
     """Next-observation probabilities under the whole mixture: the posterior-
-    weighted average of component predictives, each over its own support. A
-    vertex adds its weight w at its type; a surviving face, which holds all n
-    observations, adds w * (n_j + k_j) / (n + k_face) at each of its types j.
-    Everything is summed as integer numerators over one denominator, and
-    each entry becomes one Fraction. When exactly one weighted component
-    holds every observation, its posterior weight is 1 and its predictive is
-    the answer, with no marginal computed. A type-symmetric prior, such as
-    ``hintikka_default``, is answered from its observed types alone, with
-    the same result."""
+    weighted average of component predictives, each over its own support.
+    Only survivors are weighed: components of nonzero weight whose face holds
+    all n observations. A survivor of weight w adds w * (n_j + k_j) /
+    (n + k_face) at each of its types j, and a vertex is a face of one type
+    whose share is 1. Everything is summed as integer numerators over one
+    denominator, and each entry becomes one Fraction. A lone survivor has
+    posterior weight 1 and its predictive is the answer, with no marginal
+    computed. A type-symmetric prior, such as ``hintikka_default``, is
+    answered from its observed types alone, with the same result."""
     cts = _checked(prior, counts)
     if symmetric := prior._symmetric:
         return _symmetric_predictive(cts, *symmetric)
-    comps, n = prior.components, sum(cts)
-    alive = [bool(c.weight) and sum(cts[j] for j in c.support) == n for c in comps]
-    if sum(alive) == 1:
-        nums, total = list(map(int, alive)), 1
+    n = sum(cts)
+    survivors = [c for c in prior.components
+                 if c.weight and sum(cts[j] for j in c.support) == n]
+    if len(survivors) == 1:
+        nums, total = [1], 1
     else:
-        nums, total = _posterior_numerators(cts, comps)
+        nums, total = _posterior_numerators(cts, survivors)
     faces = [
-        (a, comp.support, *_face_shares(
-            [cts[j] for j in comp.support], [k.as_integer_ratio() for k in comp.params]
-        ))
-        for a, comp in zip(nums, comps)
-        if a and not comp.is_vertex
+        (a, c.support, *(_face_shares(
+            [cts[j] for j in c.support], [k.as_integer_ratio() for k in c.params]
+        ) if c.params else ([1], 1)))
+        for a, c in zip(nums, survivors)
     ]
     den = math.lcm(*{d for *_, d in faces})
     out = [0] * len(cts)
-    for a, comp in zip(nums, comps):
-        if a and comp.is_vertex:
-            out[comp.support[0]] += a * den
     for a, support, shares, d in faces:
         scale = a * (den // d)
         for j, share in zip(support, shares):

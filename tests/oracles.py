@@ -17,9 +17,9 @@ backbone of the suite.
 Urn laws and canonical mixtures are also built the direct way, one
 ``Fraction`` product and sum per term, as the reference for the lab's
 integer-numerator constructions; the urn's falling factorials are
-factorial quotients. These two do use the lab's helpers for enumerating
-count classes and checking shapes. The variation distance, the count
-distribution, the extension test, the Dirichlet, Carnap and mixture
+factorial quotients, and the count classes come from :func:`compositions`,
+a filtered product, not from the lab's generator. The variation distance,
+the count distribution, the extension test, the Dirichlet, Carnap and mixture
 predictives are kept in the same spirit: the engine's former ``Fraction``
 routes, one ``Fraction`` operation per term, read through the public
 accessors, as the references for its integer routes.
@@ -43,7 +43,6 @@ from succession import (
     sequence_marginal,
 )
 from succession.exact import ZERO, as_rational
-from succession.lab import _check_shape, _compositions, _whole
 
 
 def beta_function(a: int, b: int) -> Fraction:
@@ -203,6 +202,17 @@ def table_is_exchangeable(table: tuple[Fraction, ...], t: int, length: int) -> b
     return True
 
 
+def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every count vector of ``parts`` tallies summing to ``total``, in
+    lexicographic order: the full product, filtered by its sum, so meant for
+    small urns only."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
+def _whole(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def falling(start: int, count: int) -> int:
     """start * (start-1) * ... over ``count`` terms, as a factorial
     quotient; 0 when the terms run out."""
@@ -222,10 +232,9 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
         raise SampleTooLarge(
             f"asked for {k} draws from an urn of {urn.total} balls"
         )
-    _check_shape(urn.t, k)
     denom = falling(urn.total, k)
     table: dict[tuple[int, ...], Fraction] = {}
-    for counts in _compositions(k, urn.t):
+    for counts in compositions(k, urn.t):
         num = 1
         for balls, c in zip(urn.colors, counts):
             num *= falling(balls, c)
@@ -252,7 +261,7 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
         (m, weight) for m, weight in law.count_distribution().items() if weight != 0
     ]
     table: dict[tuple[int, ...], Fraction] = {}
-    for counts in _compositions(k, law.t):
+    for counts in compositions(k, law.t):
         total = ZERO
         for m, weight in mixing:
             term = weight

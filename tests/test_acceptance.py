@@ -41,7 +41,6 @@ from succession import (
     urn_law,
     variation_distance,
 )
-from succession.lab import _compositions
 import oracles
 
 
@@ -249,7 +248,7 @@ def test_criterion_11_finite_representation_suite():
     checked = 0
     for t in (2, 3):
         for total in range(1, 13):
-            for colors in _compositions(total, t):
+            for colors in oracles.compositions(total, t):
                 urn = UrnComposition(colors)
                 full = urn_law(urn, total)
                 for k in range(1, total + 1):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -806,6 +807,45 @@ def test_a_fresh_process_loads_what_its_command_uses(capsys, argv):
     loaded = "succession.lab\n" if argv[0] == "lab" else "\n"
     assert (proc.returncode, proc.stderr) == (0, loaded)
     assert (0, proc.stdout, "") == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_quietly(unbuffered):
+    # the reader is gone before the child writes: unbuffered, the handler's
+    # print meets the broken pipe; buffered, main's flush does. Either way
+    # exit 1 and nothing on stderr, and nothing fails again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "succession", "lab", "urn",
+             "--colors", "2,3", "--k", "2", "--format", "json"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_broken_stdout_without_a_descriptor_exits_1(monkeypatch, capfd):
+    # in-process, stdout may have no file descriptor to point at devnull:
+    # main still returns 1 and leaves the process's own fd 1 alone
+    class Broken(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    assert main(["predict", "--rule", "haldane", "--n", "5"]) == 1
+    os.write(1, b"fd 1 still writes\n")
+    assert capfd.readouterr().out == "fd 1 still writes\n"
 
 
 def test_module_entry_point_runs():

@@ -5,11 +5,18 @@ first and stay tiny.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
 
-from oracles import beta_function, beta_marginal, dirichlet_marginal, polya_marginal
+from oracles import (
+    beta_function,
+    beta_marginal,
+    compositions,
+    dirichlet_marginal,
+    polya_marginal,
+)
 
 
 @pytest.mark.parametrize(
@@ -107,3 +114,14 @@ def test_polya_marginal_by_the_gamma_function(params, counts):
     assert polya_marginal(tuple(map(Fraction, params)), counts) == Fraction(
         int(value.p), int(value.q)
     )
+
+
+def test_compositions_list_every_count_vector_once_in_order():
+    # stars and bars: C(total + parts - 1, parts - 1) vectors, ascending
+    for parts in (2, 3, 4):
+        for total in range(8):
+            vectors = compositions(total, parts)
+            count = comb(total + parts - 1, parts - 1)
+            assert len(set(vectors)) == len(vectors) == count
+            assert vectors == sorted(vectors)
+            assert all(len(c) == parts and sum(c) == total for c in vectors)

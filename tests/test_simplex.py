@@ -841,6 +841,30 @@ class TestLoneSurvivor:
         with pytest.raises(AssertionError, match="a marginal was computed"):
             mixture_predictive(prior, (3, 0))
 
+    @pytest.mark.parametrize("prior", [WITH_EDGES, _reweighted_hintikka(4)],
+                             ids=["with-edges", "hintikka-reweighted-4"])
+    def test_only_survivors_are_weighed(self, monkeypatch, prior):
+        # with two or more survivors beside a dead component of nonzero
+        # weight, only the survivors' marginals are computed; the oracle
+        # itself weighs every component, so it runs before the patch
+        cases = {}
+        for counts in _up_to_eight(prior.t):
+            n = sum(counts)
+            held = [sum(counts[j] for j in c.support) == n for c in prior.components]
+            if sum(held) >= 2 and not all(held):
+                cases[counts] = oracles.fraction_mixture_predictive(prior, counts)
+        assert len(cases) >= 20
+        marginal = simplex._marginal
+
+        def survivors_only(counts, total, face):
+            held = sum(counts[j] for j in face.support) == total
+            assert held, f"marginal of a dead component {face} at {counts}"
+            return marginal(counts, total, face)
+
+        monkeypatch.setattr(simplex, "_marginal", survivors_only)
+        for counts, want in cases.items():
+            assert mixture_predictive(prior, counts) == want, counts
+
 
 class TestCrossModuleAgreement:
     @pytest.mark.parametrize("alpha", [F(1), F(2), F(5, 2)])
