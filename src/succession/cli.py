@@ -13,10 +13,11 @@ of decimal strings plus a fixed-point decimal rendered with ties-to-even
 rounding.
 
 Exit codes: 0 success, 1 stdout closed by its reader (BrokenPipeError;
-nothing more is written), 2 usage error, 3 model contradiction
-(ZeroEvidenceProbability or UGFalsified, named on stderr), 4 resource
-limit (ResourceLimit: a sequence table over the size cap, a sufficientness
-search over the count-vector cap, or a rising factorial over the term cap).
+nothing more is written) or before the process started, 2 usage error, 3
+model contradiction (ZeroEvidenceProbability or UGFalsified, named on
+stderr), 4 resource limit (ResourceLimit: a sequence table over the size
+cap, a sufficientness search over the count-vector cap, or a rising
+factorial over the term cap).
 """
 
 from __future__ import annotations
@@ -545,7 +546,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         args.handler(args)
-        print(end="", flush=True)  # sys.stdout.flush(), skipped when it is None
+        if sys.stdout is None:  # fd 1 was closed at start: the output went nowhere
+            return 1
+        sys.stdout.flush()
     except BrokenPipeError:  # reader gone: exit 1, and flush at exit into devnull
         import contextlib  # only here, as lab only in its handlers
 

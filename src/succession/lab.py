@@ -156,14 +156,16 @@ class SequenceLaw:
 
     def _store(self, t: int, length: int, den: int,
                classes: dict[tuple[int, ...], int] | None,
-               dense: list[int] | None = None) -> "SequenceLaw":
+               dense: list[int] | None = None, summed: bool = False) -> "SequenceLaw":
         # every builder's core: numerators over one denominator, stored as they
-        # are; per sequence or per count vector they must sum to it
+        # are; they must sum to it, which is checked unless already ``summed``
         self.t = t
         self.length = length
         self._den = den
         self._dense = dense
         self._classes = classes
+        if summed:
+            return self
         if sum(self._count_numerators().values() if dense is None else dense) != den:
             raise ValueError("probabilities must sum to exactly 1")
         return self
@@ -281,22 +283,29 @@ def _read(
     rule: PredictiveRule, counts: tuple[int, ...], t: int
 ) -> tuple[list[int], int]:
     # the rule's vector at ``counts`` as integer numerators over the lcm of
-    # its denominators; signs and the sum are checked on those integers, and
-    # an error of the rule's own passes through unchanged
+    # its denominators: a Fraction entry is read as it is, any other goes
+    # through as_rational; signs and the sum are checked on those integers,
+    # and an error of the rule's own passes through unchanged
     raw = rule(counts)
-    name = getattr(rule, "__name__", "rule")
     try:
-        ratios = [as_rational(p).as_integer_ratio() for p in raw]
+        ratios = [(p if type(p) is Fraction else as_rational(p)).as_integer_ratio()
+                  for p in raw]
     except (TypeError, ValueError) as exc:
-        raise InvalidRule(f"{name} returned non-rational entries") from exc
+        raise InvalidRule(f"{_name(rule)} returned non-rational entries") from exc
     if len(ratios) != t:
-        raise InvalidRule(f"{name} returned {len(ratios)} entries for {t} symbols")
+        raise InvalidRule(
+            f"{_name(rule)} returned {len(ratios)} entries for {t} symbols"
+        )
     nums, den = _over_lcm(ratios)
-    if any(n < 0 for n in nums):
-        raise InvalidRule(f"{name} returned a negative probability")
+    if min(nums) < 0:  # t >= 2 entries, so never empty
+        raise InvalidRule(f"{_name(rule)} returned a negative probability")
     if sum(nums) != den:
-        raise InvalidRule(f"{name} returned entries not summing to 1")
+        raise InvalidRule(f"{_name(rule)} returned entries not summing to 1")
     return nums, den
+
+
+def _name(rule: PredictiveRule) -> str:
+    return getattr(rule, "__name__", "rule")
 
 
 def _dense_from(rule: PredictiveRule, t: int, length: int, depth: int,
@@ -322,7 +331,10 @@ def _dense_from(rule: PredictiveRule, t: int, length: int, depth: int,
         for k, (vec, d) in rows.items():
             factors[k] = [a * (scale // d) for a in vec]
         nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
-    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, None, nums)
+    # each level's rows sum to its scale and the handed-over level to its
+    # denominator, every read validated, so the table sums to den already
+    law = SequenceLaw.__new__(SequenceLaw)
+    return law._store(t, length, den, None, nums, summed=True)
 
 
 def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLaw:

@@ -189,27 +189,41 @@ class SimplexMixturePrior(_Frozen):
         return cls(t, (flat, *vertices))
 
     @cached_property
-    def _symmetric(self) -> tuple[Fraction, DirichletComponent] | None:
-        """(vertex weight, face) when the components are the t vertices at
-        one common weight plus one full face whose parameters are all equal,
-        in any order; None otherwise. Such a prior is invariant under
-        permuting types, so its predictive depends only on the observed
-        ones. Computed once per prior; ``tuple.count`` compares by identity
-        first, so a shared weight or parameter costs no Fraction equality."""
+    def _form(self) -> tuple[tuple[Fraction, DirichletComponent] | None, list | None]:
+        """(symmetric, faces), worked out once per prior. ``symmetric`` is
+        (vertex weight, face) when the components are the t vertices at one
+        common weight plus one full face whose parameters are all equal, in
+        any order: such a prior is invariant under permuting types, so its
+        predictive depends only on the observed ones. ``tuple.count`` compares
+        by identity first, so a shared weight or parameter costs no Fraction
+        equality. Otherwise ``faces`` holds the weighted components in integer
+        form, and the other entry is None."""
         t, comps = self.t, self.components
         vertices = [c for c in comps if len(c.support) == 1]
-        if len(vertices) != t or len(comps) != t + 1:
-            return None
-        face = next(c for c in comps if len(c.support) > 1)
-        weights = [c.weight for c in vertices]
-        if (
-            len(face.support) == t
-            and face.params.count(face.params[0]) == t
-            and weights.count(weights[0]) == t
-            and len({c.support[0] for c in vertices}) == t
-        ):
-            return weights[0], face
-        return None
+        if len(vertices) == t and len(comps) == t + 1:
+            face = next(c for c in comps if len(c.support) > 1)
+            weights = [c.weight for c in vertices]
+            if (
+                len(face.support) == t
+                and face.params.count(face.params[0]) == t
+                and weights.count(weights[0]) == t
+                and len({c.support[0] for c in vertices}) == t
+            ):
+                return (weights[0], face), None
+        return None, _integer_faces(comps)
+
+
+def _integer_faces(components: Sequence[DirichletComponent]) -> list[tuple]:
+    """(component, support, p_j, q, P) per weighted component, the parameters
+    p_j/q over their lcm q and P their sum: the face predicts (n_j*q + p_j) /
+    (n*q + P) at its types j. A vertex has p = P = 1, q = 0: its share is 1."""
+    faces = []
+    for c in components:
+        if c.weight:
+            ratios = [k.as_integer_ratio() for k in c.params]
+            ps, q = _over_lcm(ratios) if ratios else ([1], 0)
+            faces.append((c, c.support, ps, q, sum(ps)))
+    return faces
 
 
 def observed_type_count(counts: CountsLike) -> int:
@@ -231,7 +245,9 @@ def dirichlet_predictive(
         )
     if any(p <= 0 for p, _ in ratios):
         raise ValueError("Dirichlet parameters must be positive")
-    shares, den = _face_shares(cts, ratios)
+    ps, q = _over_lcm(ratios)
+    shares = [n * q + p for n, p in zip(cts, ps)]
+    den = sum(shares)
     return tuple(Fraction(s, den) for s in shares)
 
 
@@ -246,19 +262,10 @@ def carnap_predictive(counts: CountsLike, lam: RationalLike) -> tuple[Fraction, 
     p, q = as_rational(lam).as_integer_ratio()
     if p <= 0:
         raise ValueError("lambda must be positive")
-    shares, den = _face_shares(cts, [(p, q * len(cts))] * len(cts))
-    return tuple(Fraction(s, den) for s in shares)
-
-
-def _face_shares(
-    counts: Sequence[int], params: list[tuple[int, int]]
-) -> tuple[list[int], int]:
-    """The Dirichlet predictive (n_j + k_j) / (n + k) over a face that holds
-    every observation, as integer numerators n_j*q + p_j over one denominator
-    n*q + P; the parameters k_j come as integer ratios, p_j/q over their lcm q."""
-    ps, q = _over_lcm(params)
-    shares = [n * q + p for n, p in zip(counts, ps)]
-    return shares, sum(shares)
+    q *= len(cts)  # every parameter is p/q over this q
+    den = sum(cts) * q + p * len(cts)
+    unseen = Fraction(p, den)  # one Fraction for every type not seen yet
+    return tuple(Fraction(c * q + p, den) if c else unseen for c in cts)
 
 
 def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Fraction:
@@ -379,34 +386,28 @@ def mixture_predictive(
     weighted average of component predictives, each over its own support.
     Only survivors are weighed: components of nonzero weight whose face holds
     all n observations. A survivor of weight w adds w * (n_j + k_j) /
-    (n + k_face) at each of its types j, and a vertex is a face of one type
-    whose share is 1. Everything is summed as integer numerators over one
+    (n + k_face) at each of its types j, read off the integer faces worked
+    out once per prior. Everything is summed as integer numerators over one
     denominator, and each entry becomes one Fraction. A lone survivor has
     posterior weight 1 and its predictive is the answer, with no marginal
     computed. A type-symmetric prior, such as ``hintikka_default``, is
     answered from its observed types alone, with the same result."""
     cts = _checked(prior, counts)
-    if symmetric := prior._symmetric:
+    symmetric, faces = prior._form
+    if symmetric:
         return _symmetric_predictive(cts, *symmetric)
     n = sum(cts)
-    survivors = [c for c in prior.components
-                 if c.weight and sum(cts[j] for j in c.support) == n]
-    if len(survivors) == 1:
+    live = [f for f in faces if sum(map(cts.__getitem__, f[1])) == n]
+    if len(live) == 1:
         nums, total = [1], 1
     else:
-        nums, total = _posterior_numerators(cts, survivors)
-    faces = [
-        (a, c.support, *(_face_shares(
-            [cts[j] for j in c.support], [k.as_integer_ratio() for k in c.params]
-        ) if c.params else ([1], 1)))
-        for a, c in zip(nums, survivors)
-    ]
-    den = math.lcm(*{d for *_, d in faces})
+        nums, total = _posterior_numerators(cts, [f[0] for f in live])
+    den = math.lcm(*{n * q + p for *_, q, p in live})
     out = [0] * len(cts)
-    for a, support, shares, d in faces:
-        scale = a * (den // d)
-        for j, share in zip(support, shares):
-            out[j] += share * scale
+    for a, (_, support, ps, q, p) in zip(nums, live):
+        scale = a * (den // (n * q + p))
+        for j, p_j in zip(support, ps):
+            out[j] += (cts[j] * q + p_j) * scale
     den *= total
     return tuple(Fraction(o, den) if o else ZERO for o in out)
 
@@ -415,36 +416,34 @@ def _symmetric_predictive(
     counts: tuple[int, ...], vertex_weight: Fraction, face: DirichletComponent
 ) -> tuple[Fraction, ...]:
     """mixture_predictive for a type-symmetric prior, from the s observed
-    types alone. With none, every type is alike: 1/t. Otherwise the face's
-    t - s unseen types act as one type with parameter (t - s)*a (Dirichlet
-    aggregation) and split its share evenly. With s >= 2 every vertex dies
-    and the face alone answers. With s = 1 the observed type's vertex
-    survives beside the face, and the face's marginal, one Beta factor after
-    aggregation, weighs the two; it is skipped when either weight is 0."""
+    types alone, in one integer pass. With none, every type is alike: 1/t.
+    Otherwise the face, with every parameter p/q, predicts (n_j*q + p) /
+    (n*q + t*p) at each seen type and p / (n*q + t*p) at each unseen one.
+    With s >= 2 every vertex dies and the face alone answers. With s = 1 the
+    observed type's vertex survives beside the face, and the face's
+    marginal, one Beta factor after aggregating the t - 1 unseen types,
+    weighs the two; it is skipped when either weight is 0."""
     t = len(counts)
     seen = [j for j, c in enumerate(counts) if c]
     if not seen:
         return (Fraction(1, t),) * t
-    a, rest = face.params[0], t - len(seen)
-    p, q = a.as_integer_ratio()
-    ns = [counts[j] for j in seen]
-    w = vertex_weight if len(seen) == 1 else ZERO
-    wf = face.weight
-    m = beta_sequence_marginal(a, Fraction(p * rest, q), ns[0], 0) if w and wf else ONE
-    face_pair = (wf.numerator * m.numerator, wf.denominator * m.denominator)
-    (a_v, a_f), _ = _over_lcm([w.as_integer_ratio(), face_pair])
-    if not a_v + a_f:
+    p, q = face.params[0].as_integer_ratio()
+    n, wf = sum(counts), face.weight
+    a_v, a_f = 0, 1  # posterior odds of the vertex against the face
+    if len(seen) == 1 and vertex_weight:
+        rest = Fraction(p * (t - 1), q)
+        m = beta_sequence_marginal(face.params[0], rest, n, 0) if wf else ZERO
+        a_v = vertex_weight.numerator * wf.denominator * m.denominator
+        a_f = wf.numerator * m.numerator * vertex_weight.denominator
+    elif not wf:
         raise ZeroEvidenceProbability(
             f"the prior assigns probability 0 to counts {counts}"
         )
-    # with every type seen the aggregate is empty: parameter 0, share 0
-    shares, d = _face_shares(ns + [0], [(p, q)] * len(seen) + [(p * rest, q)])
-    *nums, rest_num = (share * a_f for share in shares)
-    nums[0] += a_v * d
+    d = n * q + t * p
     den = d * (a_v + a_f)
-    out = [Fraction(rest_num // rest, den) if rest else ZERO] * t
-    for j, num in zip(seen, nums):
-        out[j] = Fraction(num, den)
+    out = [Fraction(p * a_f, den)] * t
+    for j in seen:  # a_v is 0 unless j is the one type seen
+        out[j] = Fraction((counts[j] * q + p) * a_f + a_v * d, den)
     return tuple(out)
 
 

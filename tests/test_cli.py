@@ -848,6 +848,38 @@ def test_a_broken_stdout_without_a_descriptor_exits_1(monkeypatch, capfd):
     assert capfd.readouterr().out == "fd 1 still writes\n"
 
 
+def test_a_stdout_closed_before_start_exits_1_quietly():
+    # with fd 1 closed when the interpreter starts, sys.stdout is None and
+    # print writes nowhere: exit 1 and nothing on stderr, as for a closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "succession", "predict", "--rule", "haldane",
+         "--n", "5"],
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["predict", "--rule", "haldane", "--n", "5"], 1),
+        (["lab", "urn", "--colors", "2,3", "--k", "2"], 1),
+        (["posterior", "--rule", "haldane", "--n", "5", "--m", "1"], 3),
+    ],
+)
+def test_a_missing_stdout_exits_1_after_the_work(capsys, monkeypatch, argv, code):
+    # in-process: an answer with nowhere to go exits 1 without a word, while
+    # an error found before any output keeps its own exit code and message
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == code
+    assert (capsys.readouterr().err == "") == (code == 1)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [

@@ -36,7 +36,23 @@ from succession import (
     variation_distance,
 )
 from succession.cli import LAB_RULE_READS, LAB_RULES, _lab_rule
+from succession import lab
 from succession.lab import MAX_TABLE_SIZE, _check_shape, _compositions, _levels
+
+
+@pytest.fixture(autouse=True)
+def dense_tables_sum_to_their_denominator(monkeypatch):
+    # law_from_predictive's dense builder stores its table without summing
+    # it, as every read it multiplies in sums to 1: every dense law a test
+    # here builds is summed once more
+    dense_from = lab._dense_from
+
+    def summed(*args):
+        law = dense_from(*args)
+        assert sum(law._dense) == law._den, law
+        return law
+
+    monkeypatch.setattr(lab, "_dense_from", summed)
 
 
 def laplace_rule(counts):
@@ -347,6 +363,11 @@ class TestLawFromPredictive:
             ((), "returned 0 entries for 2 symbols"),
             (("3/2", "-1/2"), "returned a negative probability"),
             ((1, 1), "returned entries not summing to 1"),
+            ((F(1, 2), 0.5), "returned non-rational entries"),
+            ((F(1, 2), True), "returned non-rational entries"),
+            ((2, -1), "returned a negative probability"),
+            ((F(1, 2), "1/3"), "returned entries not summing to 1"),
+            ((F(1), F(0), F(0)), "returned 3 entries for 2 symbols"),
         ],
     )
     def test_invalid_rule_messages(self, output, message):
@@ -360,6 +381,36 @@ class TestLawFromPredictive:
             with pytest.raises(InvalidRule) as raised:
                 check()
             assert str(raised.value) == f"bad_rule {message}"
+
+    def test_a_rule_without_a_name_is_named_rule(self):
+        class Rule:
+            def __call__(self, counts):
+                return (F(1, 2), F(1, 3))
+
+        with pytest.raises(InvalidRule, match="^rule returned entries not summing to 1$"):
+            law_from_predictive(Rule(), 2, 2)
+        with pytest.raises(InvalidRule, match="^<lambda> returned 1 entries for 2 symbols$"):
+            sufficientness_witness(lambda counts: (F(1),), 2, 0)
+
+    def test_mixed_entries_accepted(self):
+        # a Fraction is read as it is; an int, a "p/q" string and a Fraction
+        # subclass go through as_rational, with the same law
+        class Half(F):
+            pass
+
+        law = law_from_predictive(lambda counts: (Half(1, 2), "1/4", F(1, 4)), 3, 2)
+        again = law_from_predictive(lambda counts: (F(1, 2), F(1, 4), F(1, 4)), 3, 2)
+        assert law.probabilities == again.probabilities
+        assert law_from_predictive(lambda c: (0, F(1), "0"), 3, 3).probability(
+            (1, 1, 1)) == 1
+
+    def test_dense_tables_sum_to_their_denominator(self):
+        # the grid of non-exchangeable rules, each table summed by the fixture
+        for t, length in ((2, 2), (2, 5), (2, 12), (3, 2), (3, 6), (4, 4)):
+            for make_rule in (_run_rule, _prime_rule):
+                law = law_from_predictive(make_rule(t), t, length)
+                assert law._classes is None
+                assert sum(law._dense) == law._den
 
     def test_any_iterable_of_entries_accepted(self):
         law = law_from_predictive(lambda counts: iter((F(1, 4), "3/4")), 2, 2)

@@ -276,6 +276,12 @@ class TestIntegerRatioKernel:
                     oracles.carnap_predictive(counts, lam)
                 ), (lam, counts)
 
+    def test_carnap_shares_one_fraction_across_unseen_types(self):
+        counts = (0, 3, 0, 0, 1, 0)
+        out = carnap_predictive(counts, F(3, 2))
+        assert out == oracles.carnap_predictive(counts, F(3, 2))
+        assert out[0] is out[2] is out[3] is out[5]
+
     def test_carnap_shares_reduce_over_a_common_factor(self):
         # lambda/t = 1 at lambda = t: the shares n_j*t + lambda over n*t + t*lambda
         assert carnap_predictive((0, 0), 2) == (F(1, 2), F(1, 2))
@@ -570,7 +576,7 @@ class TestMixturePredictive:
         pred = mixture_predictive(prior, tuple(counts))
         seen_once = mixture_predictive(prior, one_type)
         assert time.perf_counter() - start < 6
-        assert prior._symmetric is None
+        assert prior._form[0] is None
         face = F(1, 2) - F(1, 2 * t)
         assert uniform[0] == F(1, t) + face / t
         assert uniform[1:] == (F(1, 2 * t) + face / t,) * (t - 1)
@@ -629,9 +635,9 @@ def _symmetric_prior(t, vertex_weight, a, rng):
 
 def _per_face(prior):
     """A copy of ``prior`` that mixture_predictive sends through the
-    per-face engine: its cached symmetry test reads None."""
+    per-face engine: its cached form reads not symmetric."""
     copy = SimplexMixturePrior(prior.t, prior.components)
-    vars(copy)["_symmetric"] = None
+    vars(copy)["_form"] = (None, simplex._integer_faces(prior.components))
     return copy
 
 
@@ -658,7 +664,7 @@ class TestTypeSymmetricPriors:
         rng = random.Random(t)
         for w in (F(0), F(1, 2 * t), F(1, t)):
             prior = _symmetric_prior(t, w, a, rng)
-            assert prior._symmetric == (w, DirichletComponent.full((a,) * t, 1 - t * w))
+            assert prior._form[0] == (w, DirichletComponent.full((a,) * t, 1 - t * w))
             general = _per_face(prior)
             for counts in _tallies(t):
                 assert _outcome(lambda: mixture_predictive(prior, counts)) == (
@@ -711,13 +717,13 @@ class TestTypeSymmetricPriors:
         for counts in itertools.product(range(3), repeat=prior.t):
             _outcome(lambda: mixture_predictive(prior, counts))
         assert bool(calls) == symmetric
-        assert (prior._symmetric is not None) == symmetric
+        assert (prior._form[0] is not None) == symmetric
 
     def test_detection_leaves_the_dataclass_alone(self):
         prior = SimplexMixturePrior.hintikka_default(3)
         fresh = SimplexMixturePrior.hintikka_default(3)
         mixture_predictive(prior, (1, 0, 0))
-        assert "_symmetric" in vars(prior)
+        assert "_form" in vars(prior)
         assert prior.__match_args__ == ("t", "components")
         assert prior == fresh
         assert hash(prior) == hash(fresh)
@@ -760,7 +766,7 @@ class TestTypeSymmetricPriors:
         # vertex 0 and the face both hold every observation, so the face's
         # marginal weighs them, and its products are over the term cap
         prior = from_binary_prior(BinaryPrior(F(1, 2), 0, F(1, 2), F(1, 2), F(1, 2)))
-        assert prior._symmetric is None
+        assert prior._form[0] is None
         with pytest.raises(ResourceLimit):
             mixture_predictive(prior, (10**4 + 1, 0))
 
@@ -783,18 +789,18 @@ LONE_SURVIVOR_MASSES = {
 LONE_SURVIVOR_SHAPES = (THIRD, F(1, 2), F(1), F(5, 2))
 
 
-def _up_to_eight(t):
-    # every count vector of at most 8 observations over t types
-    return (c for c in itertools.product(range(9), repeat=t) if sum(c) <= 8)
+def _up_to_eight(t, most=8):
+    # every count vector of at most 8 (or ``most``) observations over t types
+    return (c for c in itertools.product(range(most + 1), repeat=t) if sum(c) <= most)
 
 
-def _assert_matches_all_marginals(prior):
+def _assert_matches_all_marginals(prior, most=8):
     """mixture_predictive, through whichever engine ``prior`` takes and
     through the per-face one, against the Fraction oracle that weighs every
     component by its marginal, refusals included; with integer parameters
     also against the factorial oracle."""
     integer = all(p.denominator == 1 for c in prior.components for p in c.params)
-    for counts in _up_to_eight(prior.t):
+    for counts in _up_to_eight(prior.t, most):
         want = _outcome(lambda: oracles.fraction_mixture_predictive(prior, counts))
         for engine in (prior, _per_face(prior)):
             assert _outcome(lambda: mixture_predictive(engine, counts)) == want, counts
@@ -864,6 +870,71 @@ class TestLoneSurvivor:
         monkeypatch.setattr(simplex, "_marginal", survivors_only)
         for counts, want in cases.items():
             assert mixture_predictive(prior, counts) == want, counts
+
+
+def _integer_form_priors(t):
+    """Priors over t types for the integer-form grid, components shuffled:
+    type-symmetric ones at integer and fractional parameters, with a
+    weightless face or weightless vertices; and non-symmetric ones built by
+    hand from ints, strings and Fractions, with unequal parameters, edges,
+    weightless faces and vertices, and one that can lose every component."""
+    rng = random.Random(t)
+    priors = [
+        _symmetric_prior(t, w, a, rng)
+        for a in (F(1, 2), F(3), F(5, 3))
+        for w in (F(0), F(1, 2 * t), F(1, t))
+    ]
+    unequal = [KERNEL_PARAMS[(2 * j + 1) % 6] for j in range(t)]
+    rest = tuple(range(1, t))
+    for comps in (
+        [DirichletComponent.full(unequal, F(1, 2)),
+         DirichletComponent.vertex(0, 0),
+         DirichletComponent((0, t - 1), ("1/2", 3), "1/4"),
+         DirichletComponent(rest, ["5/2"] * len(rest) if t > 2 else (), 0),
+         DirichletComponent.vertex(t - 1, F(1, 4))],
+        [DirichletComponent.vertex(0, "1/2"),
+         DirichletComponent((0, 1), (F(2, 3), 2), "1/3"),
+         DirichletComponent.full([1] * t, 0),
+         *(DirichletComponent.vertex(j, F(1, 6 * (t - 1))) for j in rest)],
+    ):
+        rng.shuffle(comps)
+        priors.append(SimplexMixturePrior(t, comps))
+    return priors
+
+
+class TestIntegerForms:
+    @pytest.mark.parametrize("t", range(2, 6))
+    def test_equal_the_fraction_route(self, t):
+        # both engines against the Fraction oracle at every count vector of
+        # at most eight observations: s = 0, 1 and >= 2 observed types, and
+        # the same ZeroEvidenceProbability with the same message; five
+        # observations at t = 5
+        for prior in _integer_form_priors(t):
+            _assert_matches_all_marginals(prior, 8 if t < 5 else 5)
+
+    def test_faces_are_worked_out_once(self):
+        prior = SimplexMixturePrior(3, (
+            DirichletComponent.vertex(2, F(1, 4)),
+            DirichletComponent.vertex(0, 0),
+            DirichletComponent((0, 1), ("1/2", F(2, 3)), F(3, 4)),
+        ))
+        assert mixture_predictive(prior, (1, 2, 0)) == (F(9, 25), F(16, 25), 0)
+        form = prior._form
+        mixture_predictive(prior, (0, 0, 1))
+        assert prior._form is form
+        symmetric, faces = form
+        assert symmetric is None
+        # the weightless vertex is left out; a vertex's share is 1 at any count
+        assert [f[1:] for f in faces] == [((2,), [1], 0, 1), ((0, 1), [3, 4], 6, 7)]
+
+    def test_a_component_order_changes_nothing(self):
+        comps = list(_integer_form_priors(4)[-2].components)
+        want = [mixture_predictive(SimplexMixturePrior(4, comps), c)
+                for c in _up_to_eight(4)]
+        comps.reverse()
+        got = [mixture_predictive(SimplexMixturePrior(4, comps), c)
+               for c in _up_to_eight(4)]
+        assert got == want
 
 
 class TestCrossModuleAgreement:
