@@ -98,8 +98,9 @@ def rising(start: Fraction, count: int) -> Fraction:
     ResourceLimit, before multiplying anything, when ``count`` exceeds
     MAX_RISING_TERMS.
     """
-    if count < 0:
-        raise ValueError("rising factorial needs a nonnegative term count")
+    start = as_rational(start)
+    if not _whole(count) or count < 0:
+        raise ValueError("rising factorial needs a nonnegative integer term count")
     if count > MAX_RISING_TERMS:
         raise ResourceLimit(
             f"a rising factorial of {int_string(count)} terms exceeds the cap "
@@ -124,8 +125,8 @@ def falling(start: int, count: int) -> int:
     sampling without replacement wants; a negative ``start`` gives 0 too,
     except for the empty product at ``count == 0``.
     """
-    if count < 0:
-        raise ValueError("falling factorial needs a nonnegative term count")
+    if not (_whole(start) and _whole(count)) or count < 0:
+        raise ValueError("falling factorial needs integers and a nonnegative count")
     if start < 0:
         return int(count == 0)
     return math.perm(start, count)
@@ -141,8 +142,9 @@ def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fracti
     so neither side is materialized; that is what makes astronomically long
     blocks affordable.
     """
-    if count < 0:
-        raise ValueError("ratio needs a nonnegative term count")
+    num_start, den_start = as_rational(num_start), as_rational(den_start)
+    if not _whole(count) or count < 0:
+        raise ValueError("ratio needs a nonnegative integer term count")
     if count == 0 or num_start == den_start:
         return ONE
     lo, hi = sorted((num_start, den_start))
@@ -163,8 +165,9 @@ def beta_sequence_marginal(
     the opposite parameter is a modest integer.
     """
     a, b = successes, failures
-    if a < 0 or b < 0:
-        raise ValueError("tallies must be nonnegative")
+    alpha, beta = as_rational(alpha), as_rational(beta)
+    if not (_whole(a) and _whole(b)) or a < 0 or b < 0:
+        raise ValueError("tallies must be nonnegative integers")
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta parameters must be positive")
     # a route's cost is its longest product, the one it divides by: all
@@ -191,6 +194,8 @@ def int_string(value: int) -> str:
     separately, so the interpreter's cap on int-to-str conversion never
     applies.
     """
+    if not _whole(value):
+        raise TypeError(f"expected an int, got {type(value).__name__}")
     if value < 0:
         return "-" + int_string(-value)
     if value.bit_length() <= _DIRECT_BITS:
@@ -228,8 +233,9 @@ def decimal_string(value: Fraction, digits: int) -> str:
 
     The computation is integer-only: scale, divide, inspect the remainder.
     """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
+    value = as_rational(value)
+    if not _whole(digits) or digits < 0:
+        raise ValueError("digits must be a nonnegative integer")
     sign = "-" if value < 0 else ""
     num = abs(value.numerator)
     den = value.denominator

@@ -10,13 +10,13 @@ path.
 A law is integer numerators over one denominator. It keeps them per count
 vector (its class table) exactly when it is exchangeable, whichever
 constructor built it, and per sequence in table order when it was built
-dense; its Fractions are made at the accessors. So exchangeability is read
-off the storage rather than rescanned, and every check and distance runs on
-integers. Every builder stores a law through one core, which also checks
-that it sums to 1, and every law the package builds lists its count vectors
-in table order (each at its first appearance among the sequences). Urn laws,
-canonical mixtures and laws from an exchangeable predictive rule are built
-per class; the dense constructor classifies its table as it validates it.
+dense; its accessors make one Fraction per distinct numerator. So
+exchangeability is read off the storage, and every check and distance runs
+on integers. A table from outside the package is checked to sum to 1; one
+the package builds sums to 1 by construction and lists its count vectors in
+table order (each at its first appearance among the sequences). Urn laws,
+canonical mixtures and exchangeable rules' laws are built per class; the
+dense constructor classifies its table as it validates it.
 Pairwise operations use the class form when both operands carry it, which
 makes exhaustive sweeps over urns affordable. A predictive rule is walked on
 the count lattice first; when two orderings of a count vector get unequal
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from fractions import Fraction
 
 from . import _LAB_NAMES as __all__  # the package lists them before lab loads
@@ -152,21 +152,23 @@ class SequenceLaw:
         per_id = dict(zip(ids, nums))
         same = all(map(operator.eq, map(per_id.__getitem__, ids), nums))
         classes = dict(zip(vectors, per_id.values())) if same else None
-        self._store(t, length, den, classes, nums)
+        self._store(t, length, den, classes, nums)._summed()
 
     def _store(self, t: int, length: int, den: int,
                classes: dict[tuple[int, ...], int] | None,
-               dense: list[int] | None = None, summed: bool = False) -> "SequenceLaw":
-        # every builder's core: numerators over one denominator, stored as they
-        # are; they must sum to it, which is checked unless already ``summed``
+               dense: list[int] | None = None) -> "SequenceLaw":
+        # every builder's core: numerators over one denominator, stored as built
         self.t = t
         self.length = length
         self._den = den
         self._dense = dense
         self._classes = classes
-        if summed:
-            return self
-        if sum(self._count_numerators().values() if dense is None else dense) != den:
+        return self
+
+    def _summed(self) -> "SequenceLaw":
+        # a table from outside the package must sum to its denominator (a dense
+        # one is never empty), as the package's builders' do by construction
+        if sum(self._dense or self._count_numerators().values()) != self._den:
             raise ValueError("probabilities must sum to exactly 1")
         return self
 
@@ -200,18 +202,20 @@ class SequenceLaw:
                 f"expected {expected} count classes, got {len(table)}"
             )
         nums, den = _over_lcm([p.as_integer_ratio() for p in table.values()])
-        return cls.__new__(cls)._store(t, length, den, dict(zip(table, nums)))
-
-    def _per_sequence(self, table: Mapping[tuple[int, ...], object]) -> Iterator:
-        # the value a per-class table gives each sequence, in table order
-        ids, vectors = next(itertools.islice(_levels(self.t), self.length, None))
-        return map(list(map(table.__getitem__, vectors)).__getitem__, ids)
+        return cls.__new__(cls)._store(t, length, den, dict(zip(table, nums)))._summed()
 
     def _numerators(self) -> Sequence[int]:
         # one numerator per sequence in table order
         if self._dense is not None:
             return self._dense
-        return list(self._per_sequence(self._classes))
+        ids, vectors = next(itertools.islice(_levels(self.t), self.length, None))
+        return list(map(list(map(self._classes.__getitem__, vectors)).__getitem__, ids))
+
+    def _fractions(self, nums: Collection[int]) -> Iterator[Fraction]:
+        # the numerators over the law's denominator: one reduced Fraction per
+        # distinct numerator, shared by every entry that has it
+        made = {n: Fraction(n, self._den) for n in set(nums)}
+        return map(made.__getitem__, nums)
 
     def _count_numerators(self) -> dict[tuple[int, ...], int]:
         # numerator of the mass of each count vector, over the law's denominator
@@ -247,10 +251,7 @@ class SequenceLaw:
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
         """Dense table in lexicographic sequence order."""
-        table = self.class_table()
-        if table is None:
-            return tuple(Fraction(n, self._den) for n in self._dense)
-        return tuple(self._per_sequence(table))
+        return tuple(self._fractions(self._numerators()))
 
     def sequences(self) -> Iterator[tuple[int, ...]]:
         """All sequences in table order."""
@@ -266,13 +267,13 @@ class SequenceLaw:
         among the sequences) unless :meth:`from_class_probabilities` set them."""
         if self._classes is None:
             return None
-        return {c: Fraction(n, self._den) for c, n in self._classes.items()}
+        return dict(zip(self._classes, self._fractions(self._classes.values())))
 
     def count_distribution(self) -> dict[tuple[int, ...], Fraction]:
         """Probability that the ``length`` draws realize each count vector,
         keyed in the order of :meth:`class_table`, or in table order."""
-        den = self._den
-        return {c: Fraction(n, den) for c, n in self._count_numerators().items()}
+        counts = self._count_numerators()
+        return dict(zip(counts, self._fractions(counts.values())))
 
     def __repr__(self) -> str:
         kind = "classes" if self._classes is not None else "dense"
@@ -333,8 +334,7 @@ def _dense_from(rule: PredictiveRule, t: int, length: int, depth: int,
         nums = [n * a for n, k in zip(nums, ids) for a in factors[k]]
     # each level's rows sum to its scale and the handed-over level to its
     # denominator, every read validated, so the table sums to den already
-    law = SequenceLaw.__new__(SequenceLaw)
-    return law._store(t, length, den, None, nums, summed=True)
+    return SequenceLaw.__new__(SequenceLaw)._store(t, length, den, None, nums)
 
 
 def law_from_predictive(rule: PredictiveRule, t: int, length: int) -> SequenceLaw:

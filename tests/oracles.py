@@ -40,7 +40,6 @@ from succession import (
     SimplexMixturePrior,
     UrnComposition,
     ZeroEvidenceProbability,
-    sequence_marginal,
 )
 from succession.exact import ZERO, as_rational
 
@@ -119,25 +118,27 @@ def polya_marginal(params: tuple[Fraction, ...], counts: tuple[int, ...]) -> Fra
     return out
 
 
+def component_marginal(comp, counts: tuple[int, ...]) -> Fraction:
+    """One simplex component's marginal: 0 once a type off its support
+    shows up, else an indicator likelihood for a vertex and, for a face, its
+    Dirichlet marginal restricted to the face, in factorial form when every
+    parameter is an integer and as a Polya urn otherwise."""
+    inside = set(comp.support)
+    if any(c > 0 and j not in inside for j, c in enumerate(counts)):
+        return ZERO
+    if comp.is_vertex:
+        return Fraction(1)
+    face_counts = tuple(counts[j] for j in comp.support)
+    if all(p.denominator == 1 for p in comp.params):
+        return dirichlet_marginal(tuple(int(p) for p in comp.params), face_counts)
+    return polya_marginal(comp.params, face_counts)
+
+
 def mixture_marginal(prior: SimplexMixturePrior, counts: tuple[int, ...]) -> Fraction:
-    """Mixture marginal over simplex components: vertices give indicator
-    likelihoods, faces their Dirichlet marginal restricted to the face, in
-    factorial form when every parameter is an integer."""
-    total = Fraction(0)
-    for comp in prior.components:
-        inside = set(comp.support)
-        if any(c > 0 and j not in inside for j, c in enumerate(counts)):
-            continue
-        face_counts = tuple(counts[j] for j in comp.support)
-        if comp.is_vertex:
-            total += comp.weight
-        elif all(p.denominator == 1 for p in comp.params):
-            total += comp.weight * dirichlet_marginal(
-                tuple(int(p) for p in comp.params), face_counts
-            )
-        else:
-            total += comp.weight * polya_marginal(comp.params, face_counts)
-    return total
+    """Mixture marginal over simplex components, each weighing its
+    :func:`component_marginal`."""
+    weighed = (c.weight * component_marginal(c, counts) for c in prior.components)
+    return sum(weighed, ZERO)
 
 
 def mixture_predictive(
@@ -368,9 +369,10 @@ def fraction_posterior_weights(
     prior: SimplexMixturePrior, counts: tuple[int, ...]
 ) -> tuple[Fraction, ...]:
     """Posterior component weights as weighted marginals over their sum,
-    one Fraction product and division per component."""
+    one Fraction product and division per component; each marginal is this
+    module's :func:`component_marginal`, not the engine's."""
     raw = tuple(
-        c.weight * sequence_marginal(counts, c) if c.weight else ZERO
+        c.weight * component_marginal(c, counts) if c.weight else ZERO
         for c in prior.components
     )
     total = sum(raw, ZERO)

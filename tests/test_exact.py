@@ -78,6 +78,16 @@ class TestRisingFalling:
         with pytest.raises(ValueError):
             falling(3, -1)
 
+    def test_starts_and_parameters_come_out_as_fractions(self):
+        # ints and strings are read as exact rationals, so no float can
+        # pass through on the way out
+        assert rising(1, 3) == 6 and type(rising(1, 3)) is F
+        assert rising("1/2", 2) == F(3, 4)
+        assert rising_ratio("1/2", "3/2", 2) == F(1, 5)
+        assert beta_sequence_marginal("1/2", 1, 2, 0) == F(1, 5)
+        assert decimal_string("1/3", 2) == "0.33"
+        assert decimal_string(2, 1) == "2.0"
+
     def test_term_cap(self):
         assert rising(F(1), MAX_RISING_TERMS) == math.factorial(MAX_RISING_TERMS)
         for count in (MAX_RISING_TERMS + 1, 10**11, 10**100):
@@ -370,11 +380,40 @@ class TestLongLiterals:
         (lambda: as_rational(object()), TypeError,
          "expected a rational number, got object"),
         (lambda: rising_ratio(F(1), F(2), -1), ValueError,
-         "ratio needs a nonnegative term count"),
+         "ratio needs a nonnegative integer term count"),
         (lambda: rising_ratio(F(1, 2), F(1, 2), -3), ValueError,
-         "ratio needs a nonnegative term count"),
+         "ratio needs a nonnegative integer term count"),
         (lambda: decimal_string(F(1, 3), -1), ValueError,
-         "digits must be nonnegative"),
+         "digits must be a nonnegative integer"),
+        # no float leaves and no bool or float counts as a count or a digit
+        (lambda: rising(0.5, 2), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: rising(F(1, 2), 2.5), ValueError,
+         "rising factorial needs a nonnegative integer term count"),
+        (lambda: rising(F(1, 2), True), ValueError,
+         "rising factorial needs a nonnegative integer term count"),
+        (lambda: falling(True, 1), ValueError,
+         "falling factorial needs integers and a nonnegative count"),
+        (lambda: falling(5, 2.0), ValueError,
+         "falling factorial needs integers and a nonnegative count"),
+        (lambda: rising_ratio(F(1, 2), F(3, 2), 2.5), ValueError,
+         "ratio needs a nonnegative integer term count"),
+        (lambda: rising_ratio(0.5, F(3, 2), 2), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: beta_sequence_marginal(F(1, 2), F(1), 2.5, 0), ValueError,
+         "tallies must be nonnegative integers"),
+        (lambda: beta_sequence_marginal(F(1, 2), F(1), 0, False), ValueError,
+         "tallies must be nonnegative integers"),
+        (lambda: beta_sequence_marginal(F(1, 2), 1.0, 2, 0), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: int_string(True), TypeError, "expected an int, got bool"),
+        (lambda: int_string(2.0), TypeError, "expected an int, got float"),
+        (lambda: decimal_string(F(1, 3), True), ValueError,
+         "digits must be a nonnegative integer"),
+        (lambda: decimal_string(F(1, 3), 2.5), ValueError,
+         "digits must be a nonnegative integer"),
+        (lambda: decimal_string(0.25, 2), TypeError,
+         "floats are not exact; pass a string, an int, or a Fraction"),
     ],
 )
 def test_refusal_messages(call, error, message):

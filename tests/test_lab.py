@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -41,18 +42,24 @@ from succession.lab import MAX_TABLE_SIZE, _check_shape, _compositions, _levels
 
 
 @pytest.fixture(autouse=True)
-def dense_tables_sum_to_their_denominator(monkeypatch):
-    # law_from_predictive's dense builder stores its table without summing
-    # it, as every read it multiplies in sums to 1: every dense law a test
-    # here builds is summed once more
-    dense_from = lab._dense_from
+def stored_tables_sum_to_their_denominator(monkeypatch):
+    # the package's builders (the class walk and the dense chain rule,
+    # urn_law, canonical_mixture) store their tables without summing them,
+    # as each sums to 1 by construction: every law a test here stores is
+    # summed once more, except a table from outside, which SequenceLaw() and
+    # from_class_probabilities check themselves
+    store = SequenceLaw._store
+    outside = {SequenceLaw.__init__.__code__,
+               SequenceLaw.from_class_probabilities.__func__.__code__}
 
-    def summed(*args):
-        law = dense_from(*args)
-        assert sum(law._dense) == law._den, law
+    def summed(law, *args):
+        store(law, *args)
+        if sys._getframe(1).f_code not in outside:
+            total = sum(law._dense or law._count_numerators().values())
+            assert total == law._den, law
         return law
 
-    monkeypatch.setattr(lab, "_dense_from", summed)
+    monkeypatch.setattr(SequenceLaw, "_store", summed)
 
 
 def laplace_rule(counts):
@@ -602,6 +609,24 @@ class TestClassPath:
         assert answers == (False, True)
         assert law.probability((1,) + (0,) * 19) == F(1, 40)
         assert elapsed < 2.0
+
+    def test_probabilities_at_the_cap_cost_at_most_twice_the_build(self, monkeypatch):
+        # 2**20 entries over 60,964 distinct numerators: one Fraction is made
+        # per distinct numerator, not per entry. The build is timed without
+        # the autouse fixture's sum, which the test takes itself
+        monkeypatch.undo()
+        start = time.perf_counter()
+        law = law_from_predictive(_run_rule(2), 2, 20)
+        built = time.perf_counter() - start
+        start = time.perf_counter()
+        table = law.probabilities
+        read = time.perf_counter() - start
+        assert read <= 2 * built, (read, built)
+        assert sum(law._dense) == law._den and len(table) == 2**20
+        for i in range(0, 2**20, 1009):
+            assert table[i] == F(law._dense[i], law._den), i
+        small = law_from_predictive(_run_rule(2), 2, 14)
+        assert small.probabilities == tuple(F(n, small._den) for n in small._dense)
 
     def _hand_over(self, t, length, depth):
         # Laplace below total depth, then (1/2, 1/2, 0, ...): every level of

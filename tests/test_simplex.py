@@ -852,7 +852,8 @@ class TestLoneSurvivor:
     def test_only_survivors_are_weighed(self, monkeypatch, prior):
         # with two or more survivors beside a dead component of nonzero
         # weight, only the survivors' marginals are computed; the oracle
-        # itself weighs every component, so it runs before the patch
+        # weighs every component by marginals of its own, which the patch
+        # does not reach
         cases = {}
         for counts in _up_to_eight(prior.t):
             n = sum(counts)
