@@ -95,7 +95,7 @@ class BinaryPrior(_Frozen):
     @classmethod
     def laplace(cls, alpha: RationalLike = 1, beta: RationalLike = 1) -> "BinaryPrior":
         """All mass on the continuous part: Beta(alpha, beta), no points."""
-        return cls(ZERO, ZERO, ONE, as_rational(alpha), as_rational(beta))
+        return cls(ZERO, ZERO, ONE, alpha, beta)
 
     @classmethod
     def haldane(cls, alpha: RationalLike = 1) -> "BinaryPrior":
@@ -105,7 +105,7 @@ class BinaryPrior(_Frozen):
         somewhere' equally credible before any data arrive.
         """
         h = Fraction(1, 2)
-        return cls(h, ZERO, h, as_rational(alpha), ONE)
+        return cls(h, ZERO, h, alpha, ONE)
 
     @classmethod
     def jeffreys_split(cls, alpha: RationalLike = 1) -> "BinaryPrior":
@@ -113,7 +113,7 @@ class BinaryPrior(_Frozen):
         the sharp hypotheses jointly tie with the vague one, and neither
         sharp direction is favored."""
         q = Fraction(1, 4)
-        return cls(q, q, Fraction(1, 2), as_rational(alpha), ONE)
+        return cls(q, q, Fraction(1, 2), alpha, ONE)
 
     @classmethod
     def from_prior_odds(
@@ -124,7 +124,7 @@ class BinaryPrior(_Frozen):
         d = as_rational(odds)
         if d <= 0:
             raise ValueError("prior odds must be positive")
-        return cls(d / (1 + d), ZERO, 1 / (1 + d), as_rational(alpha), ONE)
+        return cls(d / (1 + d), ZERO, 1 / (1 + d), alpha, ONE)
 
     def with_prior_odds(self, odds: RationalLike) -> "BinaryPrior":
         """This prior at prior odds ``odds`` for its point masses against

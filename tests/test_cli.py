@@ -24,6 +24,8 @@ from succession import (
 )
 from succession.cli import COMMANDS, COMMON_FLAGS, main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 RECORD_SCHEMA = {
     "type": "object",
     "required": ["rule", "inputs", "exact", "decimal"],
@@ -661,6 +663,8 @@ class TestExitCodes:
              "--length", "2"),
             ("lab", "sufficientness", "--rule", "hintikka", "--t", "1048577",
              "--max-n", "0"),
+            ("lab", "exchangeable", "--rule", "hintikka", "--t", "100000",
+             "--length", "1"),
         ],
     )
     def test_refused_hintikka_lab_never_builds_the_prior(
@@ -746,17 +750,23 @@ def test_untelescoped_products_exit_4_fast(argv, terms):
     )
 
 
+def _child_env(**extra):
+    # a `python -S` child finds the package through PYTHONPATH, with stdout
+    # buffered unless a test sets PYTHONUNBUFFERED in extra
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": SRC, **extra}
+
+
 def test_import_needs_no_typing_module():
     # typing adds about 5 ms to each process start on CPython 3.11, and no
     # module needs it at run time
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [
             sys.executable, "-S", "-c",
-            f"import sys; sys.path.insert(0, {src!r}); import succession.cli; "
-            "print('typing' in sys.modules)",
+            "import sys, succession.cli; print('typing' in sys.modules)",
         ],
         capture_output=True,
+        env=_child_env(),
         text=True,
         timeout=60,
     )
@@ -791,9 +801,8 @@ def test_a_fresh_process_loads_what_its_command_uses(capsys, argv):
     # in-process runs share one sys.modules, so only a fresh process shows
     # what its command imports: lab only for a lab command, dataclasses,
     # inspect and typing never
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); from succession.cli import main; "
+        "import sys; from succession.cli import main; "
         "code = main(sys.argv[1:]); "
         f"print(*(m for m in {WATCHED!r} if m in sys.modules), file=sys.stderr); "
         "sys.exit(code)"
@@ -801,6 +810,7 @@ def test_a_fresh_process_loads_what_its_command_uses(capsys, argv):
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, *argv],
         capture_output=True,
+        env=_child_env(),
         text=True,
         timeout=60,
     )
@@ -814,10 +824,7 @@ def test_a_closed_stdout_exits_1_quietly(unbuffered):
     # the reader is gone before the child writes: unbuffered, the handler's
     # print meets the broken pipe; buffered, main's flush does. Either way
     # exit 1 and nothing on stderr, and nothing fails again at exit
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env = _child_env(PYTHONUNBUFFERED="1") if unbuffered else _child_env()
     read, write = os.pipe()
     os.close(read)
     try:
@@ -851,13 +858,12 @@ def test_a_broken_stdout_without_a_descriptor_exits_1(monkeypatch, capfd):
 def test_a_stdout_closed_before_start_exits_1_quietly():
     # with fd 1 closed when the interpreter starts, sys.stdout is None and
     # print writes nowhere: exit 1 and nothing on stderr, as for a closed pipe
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-m", "succession", "predict", "--rule", "haldane",
          "--n", "5"],
         preexec_fn=lambda: os.close(1),
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
         text=True,
         timeout=60,
     )

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -86,27 +87,41 @@ def hintikka_rule_3():
     return rule
 
 
-# transition matrix P(next == prev) = 2/3, uniform start: exchangeability
-# fails because order matters, e.g. P(011) = 1/9 but P(101) = 1/18
-MARKOV_3 = SequenceLaw(
-    2,
-    3,
-    (
-        F(2, 9),
-        F(1, 9),
-        F(1, 18),
-        F(1, 9),
-        F(1, 9),
-        F(1, 18),
-        F(1, 9),
-        F(2, 9),
-    ),
-)
+# The laws several tests share are built on first use inside a test, not
+# while the module is collected, so a broken builder fails the tests that
+# use it by name and the rest still run.
 
-LAPLACE_2 = law_from_predictive(laplace_rule, 2, 2)
-FAIR_COIN_4 = SequenceLaw.from_class_probabilities(
-    2, 4, {c: F(1, 16) for c in [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]}
-)
+
+@functools.cache
+def markov_3():
+    # transition matrix P(next == prev) = 2/3, uniform start: exchangeability
+    # fails because order matters, e.g. P(011) = 1/9 but P(101) = 1/18
+    return SequenceLaw(
+        2,
+        3,
+        (
+            F(2, 9),
+            F(1, 9),
+            F(1, 18),
+            F(1, 9),
+            F(1, 9),
+            F(1, 18),
+            F(1, 9),
+            F(2, 9),
+        ),
+    )
+
+
+@functools.cache
+def laplace_2():
+    return law_from_predictive(laplace_rule, 2, 2)
+
+
+@functools.cache
+def fair_coin_4():
+    return SequenceLaw.from_class_probabilities(
+        2, 4, {c: F(1, 16) for c in [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]}
+    )
 
 
 class TestSequenceLawConstruction:
@@ -180,17 +195,17 @@ class TestSequenceLawConstruction:
                     assert not over, (t, length)
 
     def test_probability_lookup_both_representations(self):
-        dense = SequenceLaw(2, 2, LAPLACE_2.probabilities)
+        dense = SequenceLaw(2, 2, laplace_2().probabilities)
         for seq in itertools.product(range(2), repeat=2):
-            assert dense.probability(seq) == LAPLACE_2.probability(seq)
+            assert dense.probability(seq) == laplace_2().probability(seq)
         with pytest.raises(DimensionMismatch):
-            LAPLACE_2.probability((0, 1, 0))
+            laplace_2().probability((0, 1, 0))
         with pytest.raises(DimensionMismatch):
-            LAPLACE_2.probability((0, 2))
+            laplace_2().probability((0, 2))
 
     @pytest.mark.parametrize("sequence", [(0.0, 1), (True, False), (F(1), 0)])
     def test_symbols_must_be_ints(self, sequence):
-        for law in (LAPLACE_2, SequenceLaw(2, 2, LAPLACE_2.probabilities)):
+        for law in (laplace_2(), SequenceLaw(2, 2, laplace_2().probabilities)):
             with pytest.raises(DimensionMismatch):
                 law.probability(sequence)
 
@@ -229,27 +244,27 @@ class TestSequenceLawConstruction:
         assert sum(dense) == 1
 
     def test_count_distribution_is_a_distribution(self):
-        dist = MARKOV_3.count_distribution()
+        dist = markov_3().count_distribution()
         assert sum(dist.values()) == 1
         assert dist[(2, 1)] == F(1, 9) + F(1, 18) + F(1, 9)
 
     def test_laplace_counts_are_uniform(self):
         # the flat-prior rule makes every tally equally likely
-        assert LAPLACE_2.count_distribution() == {
+        assert laplace_2().count_distribution() == {
             (2, 0): F(1, 3),
             (1, 1): F(1, 3),
             (0, 2): F(1, 3),
         }
 
     def test_repr_names_the_storage(self):
-        assert repr(LAPLACE_2) == "SequenceLaw(t=2, length=2, classes)"
+        assert repr(laplace_2()) == "SequenceLaw(t=2, length=2, classes)"
         first_is_zero = SequenceLaw(2, 2, [F(1, 2), F(1, 2), F(0), F(0)])
         assert repr(first_is_zero) == "SequenceLaw(t=2, length=2, dense)"
 
 
 class TestLawFromPredictive:
     def test_laplace_length_two_frozen(self):
-        assert LAPLACE_2.probabilities == (F(1, 3), F(1, 6), F(1, 6), F(1, 3))
+        assert laplace_2().probabilities == (F(1, 3), F(1, 6), F(1, 6), F(1, 3))
 
     def test_haldane_length_two_frozen(self):
         # 3/4 then 8/9 along the all-confirming branch
@@ -599,15 +614,28 @@ class TestClassPath:
         assert law.probability((0,) * 7 + (1,) * 13) == F(1, 21 * math.comb(20, 7))
         assert elapsed < 1.0
 
-    def test_dense_table_at_the_cap_in_under_two_seconds(self):
-        # 2**20 sequences, the largest table under the cap; the run rule is
-        # not exchangeable, so every one of them gets its own entry
+    @pytest.mark.parametrize(
+        "rule, expected",
+        [
+            (_run_rule(2), {(1,) + (0,) * 19: F(1, 40)}),
+            # Laplace up to the last level, so the class walk hands only
+            # that level to the dense table
+            (
+                lambda c: laplace_rule(c) if sum(c) < 19 else _run_rule(2)(c),
+                {(0,) * 20: F(1, 21), (1,) * 20: F(1, 40)},
+            ),
+        ],
+        ids=["run", "laplace-then-run"],
+    )
+    def test_dense_table_at_the_cap_in_under_two_seconds(self, rule, expected):
+        # 2**20 sequences, the largest table under the cap; the rule is not
+        # exchangeable, so every one of them gets its own entry
         start = time.perf_counter()
-        law = law_from_predictive(_run_rule(2), 2, 20)
+        law = law_from_predictive(rule, 2, 20)
         answers = is_exchangeable(law), has_positive_cylinders(law)
         elapsed = time.perf_counter() - start
         assert answers == (False, True)
-        assert law.probability((1,) + (0,) * 19) == F(1, 40)
+        assert {seq: law.probability(seq) for seq in expected} == expected
         assert elapsed < 2.0
 
     def test_probabilities_at_the_cap_cost_at_most_twice_the_build(self, monkeypatch):
@@ -623,6 +651,7 @@ class TestClassPath:
         read = time.perf_counter() - start
         assert read <= 2 * built, (read, built)
         assert sum(law._dense) == law._den and len(table) == 2**20
+        assert (table[0], table[-1]) == (F(1, 21), F(1, 2**20))
         for i in range(0, 2**20, 1009):
             assert table[i] == F(law._dense[i], law._den), i
         small = law_from_predictive(_run_rule(2), 2, 14)
@@ -744,12 +773,12 @@ class TestExchangeability:
             assert has_positive_cylinders(law)
 
     def test_markov_law_is_not(self):
-        assert MARKOV_3.probability((0, 1, 1)) == F(1, 9)
-        assert MARKOV_3.probability((1, 0, 1)) == F(1, 18)
-        assert not is_exchangeable(MARKOV_3)
+        assert markov_3().probability((0, 1, 1)) == F(1, 9)
+        assert markov_3().probability((1, 0, 1)) == F(1, 18)
+        assert not is_exchangeable(markov_3())
 
     def test_class_built_laws_are_exchangeable_by_construction(self):
-        assert is_exchangeable(FAIR_COIN_4)
+        assert is_exchangeable(fair_coin_4())
         assert is_exchangeable(urn_law(UrnComposition((3, 2)), 4))
 
 
@@ -899,7 +928,7 @@ class TestCanonicalMixture:
         coin_2 = SequenceLaw.from_class_probabilities(
             2, 2, {(2, 0): F(1, 4), (1, 1): F(1, 4), (0, 2): F(1, 4)}
         )
-        mixed = canonical_mixture(FAIR_COIN_4, 2)
+        mixed = canonical_mixture(fair_coin_4(), 2)
         assert variation_distance(coin_2, mixed) == F(1, 4)
         assert variation_distance(coin_2, mixed) <= df_bound(2, 2, 4)
 
@@ -930,28 +959,28 @@ class TestCanonicalMixture:
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            canonical_mixture(LAPLACE_2, 0)
+            canonical_mixture(laplace_2(), 0)
         with pytest.raises(ValueError):
-            canonical_mixture(LAPLACE_2, 3)
+            canonical_mixture(laplace_2(), 3)
 
 
 class TestVariationDistance:
     def test_zero_iff_equal(self):
-        assert variation_distance(LAPLACE_2, LAPLACE_2) == 0
+        assert variation_distance(laplace_2(), laplace_2()) == 0
         other = law_from_predictive(haldane_rule, 2, 2)
-        assert variation_distance(LAPLACE_2, other) > 0
+        assert variation_distance(laplace_2(), other) > 0
 
     def test_class_and_dense_paths_agree(self):
         class_law = urn_law(UrnComposition((2, 2)), 3)
         dense_law = SequenceLaw(2, 3, class_law.probabilities)
-        for other in (MARKOV_3, law_from_predictive(laplace_rule, 2, 3)):
+        for other in (markov_3(), law_from_predictive(laplace_rule, 2, 3)):
             assert variation_distance(class_law, other) == variation_distance(
                 dense_law, other
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            variation_distance(LAPLACE_2, MARKOV_3)
+            variation_distance(laplace_2(), markov_3())
 
     def test_integer_route_equals_fraction_route_on_criterion_11_grid(self):
         checked = 0
@@ -970,7 +999,7 @@ class TestVariationDistance:
 
     def test_mixed_storage_equals_fraction_route(self):
         class_law = urn_law(UrnComposition((2, 3)), 3)
-        for other in (MARKOV_3, law_from_predictive(laplace_rule, 2, 3), class_law):
+        for other in (markov_3(), law_from_predictive(laplace_rule, 2, 3), class_law):
             for a, b in ((class_law, other), (other, class_law)):
                 assert variation_distance(a, b) == oracles.variation_distance(a, b)
 
@@ -1025,7 +1054,7 @@ class TestExchangeableExtension:
                 assert admits_exchangeable_extension(urn_law(urn, k))
 
     def test_mixture_built_laws_extend(self):
-        assert admits_exchangeable_extension(LAPLACE_2)
+        assert admits_exchangeable_extension(laplace_2())
         assert admits_exchangeable_extension(
             law_from_predictive(laplace_rule, 2, 5)
         )
@@ -1036,7 +1065,7 @@ class TestExchangeableExtension:
                 law_from_predictive(laplace_rule, 3, 2)
             )
         with pytest.raises(ValueError):
-            admits_exchangeable_extension(MARKOV_3)
+            admits_exchangeable_extension(markov_3())
 
 
 class TestMultiplicityConsistency:
@@ -1065,26 +1094,25 @@ class TestMultiplicityConsistency:
         ) == 2**4
 
 
-def _accessor_laws():
-    urn = urn_law(UrnComposition((3, 2)), 3)
-    return {
-        "urn": urn,
-        "laplace": law_from_predictive(laplace_rule, 3, 3),
-        "two-point": law_from_predictive(two_point_rule, 2, 3),
-        "certain": urn_law(UrnComposition((3, 0)), 2),
-        "markov": MARKOV_3,
-        "run": law_from_predictive(_run_rule(2), 2, 3),
-        "dense-exchangeable": SequenceLaw(2, 3, urn.probabilities),
-        "dense-certain": SequenceLaw(2, 2, (1, 0, 0, 0)),
-    }
+# each law's builder, called inside the test it parametrizes
+ACCESSOR_LAWS = {
+    "urn": lambda: urn_law(UrnComposition((3, 2)), 3),
+    "laplace": lambda: law_from_predictive(laplace_rule, 3, 3),
+    "two-point": lambda: law_from_predictive(two_point_rule, 2, 3),
+    "certain": lambda: urn_law(UrnComposition((3, 0)), 2),
+    "markov": markov_3,
+    "run": lambda: law_from_predictive(_run_rule(2), 2, 3),
+    "dense-exchangeable": lambda: SequenceLaw(2, 3, ACCESSOR_LAWS["urn"]().probabilities),
+    "dense-certain": lambda: SequenceLaw(2, 2, (1, 0, 0, 0)),
+}
 
 
 class TestAccessorTypes:
     """Every accessor hands out Fractions, whatever the law stores."""
 
-    @pytest.mark.parametrize("name", list(_accessor_laws()))
+    @pytest.mark.parametrize("name", list(ACCESSOR_LAWS))
     def test_accessors_return_fractions(self, name):
-        law = _accessor_laws()[name]
+        law = ACCESSOR_LAWS[name]()
         exchangeable = name not in ("markov", "run")
         assert is_exchangeable(law) == exchangeable
         values = [law.probability(seq) for seq in law.sequences()]
