@@ -180,11 +180,11 @@ def beta_sequence_marginal(
     # the beta route is the alpha route with the sides swapped
     if by_beta < min(by_alpha, total):
         alpha, beta, a, b, by_alpha = beta, alpha, b, a, by_beta
-    if by_alpha < total:
-        den = rising(beta + b, by_alpha)
-        return rising(alpha, a) * rising(beta, by_alpha - a) / den
-    den = rising(alpha + beta, total)
-    return rising(alpha, a) * rising(beta, b) / den
+    # the integer route divides by rising(beta + b, by_alpha), the general
+    # one by rising(alpha + beta, total); both multiply the same two sides
+    start, terms = (beta + b, by_alpha) if by_alpha < total else (alpha + beta, total)
+    den = rising(start, terms)
+    return rising(alpha, a) * rising(beta, terms - a) / den
 
 
 def int_string(value: int) -> str:

@@ -156,6 +156,9 @@ class SimplexMixturePrior(_Frozen):
     """A finite mixture of simplex components over ``t`` outcome types."""
 
     __match_args__ = ("t", "components")
+    # (vertex weight, full face) on a prior its builder knows is invariant
+    # under permuting types; outside the fields, so ==, hash and repr ignore it
+    _symmetric: tuple[Fraction, DirichletComponent] | None = None
 
     def __init__(self, t: int, components: Sequence[DirichletComponent]) -> None:
         components = tuple(components)
@@ -186,31 +189,14 @@ class SimplexMixturePrior(_Frozen):
         vertex_share = Fraction(1, 2 * t)
         flat = _component(tuple(range(t)), (ONE,) * t, Fraction(1, 2))
         vertices = [_component((j,), (), vertex_share) for j in range(t)]
-        return cls(t, (flat, *vertices))
+        prior = cls(t, (flat, *vertices))
+        prior.__dict__["_symmetric"] = vertex_share, flat
+        return prior
 
     @cached_property
-    def _form(self) -> tuple[tuple[Fraction, DirichletComponent] | None, list | None]:
-        """(symmetric, faces), worked out once per prior. ``symmetric`` is
-        (vertex weight, face) when the components are the t vertices at one
-        common weight plus one full face whose parameters are all equal, in
-        any order: such a prior is invariant under permuting types, so its
-        predictive depends only on the observed ones. ``tuple.count`` compares
-        by identity first, so a shared weight or parameter costs no Fraction
-        equality. Otherwise ``faces`` holds the weighted components in integer
-        form, and the other entry is None."""
-        t, comps = self.t, self.components
-        vertices = [c for c in comps if len(c.support) == 1]
-        if len(vertices) == t and len(comps) == t + 1:
-            face = next(c for c in comps if len(c.support) > 1)
-            weights = [c.weight for c in vertices]
-            if (
-                len(face.support) == t
-                and face.params.count(face.params[0]) == t
-                and weights.count(weights[0]) == t
-                and len({c.support[0] for c in vertices}) == t
-            ):
-                return (weights[0], face), None
-        return None, _integer_faces(comps)
+    def _faces(self) -> list[tuple]:
+        """The weighted components in integer form, worked out once per prior."""
+        return _integer_faces(self.components)
 
 
 def _integer_faces(components: Sequence[DirichletComponent]) -> list[tuple]:
@@ -390,14 +376,15 @@ def mixture_predictive(
     out once per prior. Everything is summed as integer numerators over one
     denominator, and each entry becomes one Fraction. A lone survivor has
     posterior weight 1 and its predictive is the answer, with no marginal
-    computed. A type-symmetric prior, such as ``hintikka_default``, is
-    answered from its observed types alone, with the same result."""
+    computed. A prior its builder marks type-symmetric (``hintikka_default``,
+    and ``from_binary_prior`` with equal point masses and alpha = beta) is
+    answered from its observed types alone, with the same result; a prior
+    rebuilt from its components carries no mark and takes the per-face engine."""
     cts = _checked(prior, counts)
-    symmetric, faces = prior._form
-    if symmetric:
-        return _symmetric_predictive(cts, *symmetric)
+    if prior._symmetric:
+        return _symmetric_predictive(cts, *prior._symmetric)
     n = sum(cts)
-    live = [f for f in faces if sum(map(cts.__getitem__, f[1])) == n]
+    live = [f for f in prior._faces if sum(map(cts.__getitem__, f[1])) == n]
     if len(live) == 1:
         nums, total = [1], 1
     else:
@@ -451,8 +438,13 @@ def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:
     """View a two-outcome prior as a simplex mixture with type 0 the
     confirmatory outcome: the theta=1 point becomes the vertex at type 0,
     the theta=0 point the vertex at type 1, and the continuous part a
-    Dirichlet(alpha, beta) over both."""
-    return SimplexMixturePrior(2, _binary_faces(prior))
+    Dirichlet(alpha, beta) over both. Equal point masses with alpha = beta
+    make the view type-symmetric, and it is marked so."""
+    faces = _binary_faces(prior)
+    view = SimplexMixturePrior(2, faces)
+    if prior.mass_theta1 == prior.mass_theta0 and prior.alpha == prior.beta:
+        view.__dict__["_symmetric"] = prior.mass_theta1, faces[2]
+    return view
 
 
 def _binary_faces(prior: BinaryPrior) -> tuple[DirichletComponent, ...]:

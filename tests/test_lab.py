@@ -649,6 +649,17 @@ class TestClassPath:
         start = time.perf_counter()
         table = law.probabilities
         read = time.perf_counter() - start
+        # the work count first, which holds whatever the host's load: a
+        # second read makes exactly one Fraction per distinct numerator
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(lab, "Fraction", counted)
+        assert len(law.probabilities) == 2**20
+        assert len(made) == len(set(law._dense)) == 60_964
         assert read <= 2 * built, (read, built)
         assert sum(law._dense) == law._den and len(table) == 2**20
         assert (table[0], table[-1]) == (F(1, 21), F(1, 2**20))

@@ -72,6 +72,11 @@ WITH_EDGES = SimplexMixturePrior(
     + (DirichletComponent.full((1, 1, 1), F(3, 9)),),
 )
 
+# hintikka_default(3)'s components, rebuilt by hand: no type-symmetric mark
+HINTIKKA_3_REBUILT = SimplexMixturePrior(
+    3, SimplexMixturePrior.hintikka_default(3).components
+)
+
 SPLIT_2 = SimplexMixturePrior(
     2,
     (
@@ -576,7 +581,7 @@ class TestMixturePredictive:
         pred = mixture_predictive(prior, tuple(counts))
         seen_once = mixture_predictive(prior, one_type)
         assert time.perf_counter() - start < 6
-        assert prior._form[0] is None
+        assert prior._symmetric is None
         face = F(1, 2) - F(1, 2 * t)
         assert uniform[0] == F(1, t) + face / t
         assert uniform[1:] == (F(1, 2 * t) + face / t,) * (t - 1)
@@ -626,19 +631,22 @@ def _assert_matches_oracle(prior, counts):
 
 def _symmetric_prior(t, vertex_weight, a, rng):
     """t vertices at ``vertex_weight`` and a full face with every parameter
-    ``a`` taking the rest, in a shuffled order."""
+    ``a`` taking the rest, in a shuffled order, marked type-symmetric as the
+    package's builders mark theirs."""
     comps = [DirichletComponent.vertex(j, vertex_weight) for j in range(t)]
-    comps.append(DirichletComponent.full((a,) * t, 1 - t * vertex_weight))
+    face = DirichletComponent.full((a,) * t, 1 - t * vertex_weight)
+    comps.append(face)
     rng.shuffle(comps)
-    return SimplexMixturePrior(t, comps)
+    prior = SimplexMixturePrior(t, comps)
+    vars(prior)["_symmetric"] = vertex_weight, face
+    return prior
 
 
 def _per_face(prior):
-    """A copy of ``prior`` that mixture_predictive sends through the
-    per-face engine: its cached form reads not symmetric."""
-    copy = SimplexMixturePrior(prior.t, prior.components)
-    vars(copy)["_form"] = (None, simplex._integer_faces(prior.components))
-    return copy
+    """``prior`` rebuilt from its components: a rebuild carries no
+    type-symmetric mark, so mixture_predictive sends it through the
+    per-face engine."""
+    return SimplexMixturePrior(prior.t, prior.components)
 
 
 def _outcome(call):
@@ -664,7 +672,6 @@ class TestTypeSymmetricPriors:
         rng = random.Random(t)
         for w in (F(0), F(1, 2 * t), F(1, t)):
             prior = _symmetric_prior(t, w, a, rng)
-            assert prior._form[0] == (w, DirichletComponent.full((a,) * t, 1 - t * w))
             general = _per_face(prior)
             for counts in _tallies(t):
                 assert _outcome(lambda: mixture_predictive(prior, counts)) == (
@@ -689,7 +696,7 @@ class TestTypeSymmetricPriors:
             (from_binary_prior(BinaryPrior.laplace()), True),
             (from_binary_prior(BinaryPrior.jeffreys_split()), True),
             (from_binary_prior(BinaryPrior(F(1, 2), F(1, 2), 0)), True),
-            (SPLIT_2, True),
+            (SPLIT_2, False),
             (from_binary_prior(BinaryPrior.haldane()), False),
             (from_binary_prior(BinaryPrior.laplace(1, 2)), False),
             (from_binary_prior(BinaryPrior.jeffreys_split(2)), False),
@@ -698,11 +705,13 @@ class TestTypeSymmetricPriors:
             (WITH_EDGES, False),
             (SimplexMixturePrior(2, (DirichletComponent.vertex(0, F(1, 4)),) * 2
                                  + (DirichletComponent.full((1, 1), F(1, 2)),)), False),
+            (HINTIKKA_3_REBUILT, False),
         ],
         ids=[
             "hintikka", "laplace-half", "laplace", "jeffreys-split", "two-point",
             "split-2", "haldane", "laplace-1-2", "jeffreys-split-2",
             "hintikka-reweighted", "missing-vertex", "with-edges", "repeated-vertex",
+            "hintikka-rebuilt",
         ],
     )
     def test_which_priors_take_the_fast_path(self, monkeypatch, prior, symmetric):
@@ -717,23 +726,30 @@ class TestTypeSymmetricPriors:
         for counts in itertools.product(range(3), repeat=prior.t):
             _outcome(lambda: mixture_predictive(prior, counts))
         assert bool(calls) == symmetric
-        assert (prior._form[0] is not None) == symmetric
+        assert (prior._symmetric is not None) == symmetric
 
-    def test_detection_leaves_the_dataclass_alone(self):
+    def test_the_mark_leaves_fields_equality_hash_and_repr_alone(self):
         prior = SimplexMixturePrior.hintikka_default(3)
         fresh = SimplexMixturePrior.hintikka_default(3)
+        assert "_symmetric" in vars(prior)
         mixture_predictive(prior, (1, 0, 0))
-        assert "_form" in vars(prior)
         assert prior.__match_args__ == ("t", "components")
         assert prior == fresh
         assert hash(prior) == hash(fresh)
         assert repr(prior) == repr(fresh)
-        assert SimplexMixturePrior(prior.t, prior.components) == prior
+        # a rebuild equals the marked prior and, through the per-face engine,
+        # answers as it does over the which-priors grid
+        assert HINTIKKA_3_REBUILT == prior and HINTIKKA_3_REBUILT._symmetric is None
+        for counts in itertools.product(range(3), repeat=3):
+            assert mixture_predictive(HINTIKKA_3_REBUILT, counts) == (
+                mixture_predictive(prior, counts)
+            ), counts
 
     @pytest.mark.parametrize("seen", [0, 1, 2])
     def test_a_hundred_thousand_types_from_the_observed_ones(self, seen):
-        # the first call checks the components once; later calls scan the
-        # counts and share one Fraction across the unseen types
+        # the builder marked the prior type-symmetric, so no call visits its
+        # components: each scans the counts and shares one Fraction across
+        # the unseen types
         t = 10**5
         counts = [0] * t
         for j in range(seen):
@@ -766,7 +782,7 @@ class TestTypeSymmetricPriors:
         # vertex 0 and the face both hold every observation, so the face's
         # marginal weighs them, and its products are over the term cap
         prior = from_binary_prior(BinaryPrior(F(1, 2), 0, F(1, 2), F(1, 2), F(1, 2)))
-        assert prior._form[0] is None
+        assert prior._symmetric is None
         with pytest.raises(ResourceLimit):
             mixture_predictive(prior, (10**4 + 1, 0))
 
@@ -920,11 +936,10 @@ class TestIntegerForms:
             DirichletComponent((0, 1), ("1/2", F(2, 3)), F(3, 4)),
         ))
         assert mixture_predictive(prior, (1, 2, 0)) == (F(9, 25), F(16, 25), 0)
-        form = prior._form
+        faces = prior._faces
         mixture_predictive(prior, (0, 0, 1))
-        assert prior._form is form
-        symmetric, faces = form
-        assert symmetric is None
+        assert prior._faces is faces
+        assert prior._symmetric is None
         # the weightless vertex is left out; a vertex's share is 1 at any count
         assert [f[1:] for f in faces] == [((2,), [1], 0, 1), ((0, 1), [3, 4], 6, 7)]
 
