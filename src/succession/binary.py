@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import UGFalsified
 from .exact import ONE, ZERO, RationalLike, _whole, as_rational, rising_ratio
-from .simplex import _binary_faces, _Frozen, _posterior_weights, _weighted_marginals
+from .simplex import _binary_faces, _Frozen, _posterior_numerators, _weighted_marginals
 
 __all__ = [
     "Evidence",
@@ -39,6 +39,8 @@ __all__ = [
     "exception_probability",
     "prior_odds_adjustment",
 ]
+
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
 class Evidence(_Frozen):
@@ -82,20 +84,27 @@ class BinaryPrior(_Frozen):
     ) -> None:
         m1, m0 = as_rational(mass_theta1), as_rational(mass_theta0)
         mc = as_rational(mass_continuous)
+        # every field is coerced before any is checked, so a bad type is
+        # reported before a bad value
         alpha, beta = as_rational(alpha), as_rational(beta)
         if min(m1, m0, mc) < 0:
             raise ValueError("prior masses must be nonnegative")
         if m1 + m0 + mc != 1:
             raise ValueError("prior masses must sum to exactly 1")
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        self.__dict__.update(mass_theta1=m1, mass_theta0=m0, mass_continuous=mc,
-                             alpha=alpha, beta=beta)
+        self.__dict__.update(zip(self.__match_args__, (m1, m0, mc, *_shape(alpha, beta))))
+
+    @classmethod
+    def _built(cls, *fields: Fraction) -> "BinaryPrior":
+        # a prior from checked parts, without the checks: masses that are
+        # constants or derived from checked odds, and a _shape
+        prior = object.__new__(cls)
+        prior.__dict__.update(zip(cls.__match_args__, fields))
+        return prior
 
     @classmethod
     def laplace(cls, alpha: RationalLike = 1, beta: RationalLike = 1) -> "BinaryPrior":
         """All mass on the continuous part: Beta(alpha, beta), no points."""
-        return cls(ZERO, ZERO, ONE, alpha, beta)
+        return cls._built(ZERO, ZERO, ONE, *_shape(alpha, beta))
 
     @classmethod
     def haldane(cls, alpha: RationalLike = 1) -> "BinaryPrior":
@@ -104,16 +113,14 @@ class BinaryPrior(_Frozen):
         The even split makes 'the generalization holds' and 'it fails
         somewhere' equally credible before any data arrive.
         """
-        h = Fraction(1, 2)
-        return cls(h, ZERO, h, alpha, ONE)
+        return cls._built(_HALF, ZERO, _HALF, *_shape(alpha, ONE))
 
     @classmethod
     def jeffreys_split(cls, alpha: RationalLike = 1) -> "BinaryPrior":
         """A quarter at each of theta=1 and theta=0, half on Beta(alpha, 1):
         the sharp hypotheses jointly tie with the vague one, and neither
         sharp direction is favored."""
-        q = Fraction(1, 4)
-        return cls(q, q, Fraction(1, 2), alpha, ONE)
+        return cls._built(_QUARTER, _QUARTER, _HALF, *_shape(alpha, ONE))
 
     @classmethod
     def from_prior_odds(
@@ -121,25 +128,39 @@ class BinaryPrior(_Frozen):
     ) -> "BinaryPrior":
         """Point mass at theta=1 with prior odds ``odds`` against Beta(alpha, 1):
         masses (d/(1+d), 0, 1/(1+d)) for d = odds."""
-        d = as_rational(odds)
-        if d <= 0:
-            raise ValueError("prior odds must be positive")
-        return cls(d / (1 + d), ZERO, 1 / (1 + d), alpha, ONE)
+        p, q = _odds(odds).as_integer_ratio()
+        masses = Fraction(p, p + q), ZERO, Fraction(q, p + q)
+        return cls._built(*masses, *_shape(alpha, ONE))
 
     def with_prior_odds(self, odds: RationalLike) -> "BinaryPrior":
         """This prior at prior odds ``odds`` for its point masses against
         its continuous part, with the ratio of the two points kept: each
         point mass m becomes m*d/((1+d)*point), for d = odds and point the
         total point mass, and the continuous mass 1/(1+d)."""
-        d = as_rational(odds)
-        if d <= 0:
-            raise ValueError("prior odds must be positive")
+        d = _odds(odds)
         point = self.mass_theta1 + self.mass_theta0
         if point == 0:
             raise ValueError("the prior has no point mass for prior odds to weigh")
         scale = d / ((1 + d) * point)
-        return BinaryPrior(self.mass_theta1 * scale, self.mass_theta0 * scale,
-                           1 / (1 + d), self.alpha, self.beta)
+        return BinaryPrior._built(self.mass_theta1 * scale, self.mass_theta0 * scale,
+                                  1 / (1 + d), self.alpha, self.beta)
+
+
+def _shape(alpha: RationalLike, beta: RationalLike) -> tuple[Fraction, Fraction]:
+    """The Beta part's parameters, coerced and checked positive."""
+    alpha, beta = as_rational(alpha), as_rational(beta)
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    if alpha.numerator <= 0 or beta.numerator <= 0:
+        raise ValueError("alpha and beta must be positive")
+    return alpha, beta
+
+
+def _odds(odds: RationalLike) -> Fraction:
+    """Prior odds, coerced and checked positive."""
+    d = as_rational(odds)
+    if d <= 0:
+        raise ValueError("prior odds must be positive")
+    return d
 
 
 def marginal_likelihood(prior: BinaryPrior, ev: Evidence) -> Fraction:
@@ -154,9 +175,10 @@ def marginal_likelihood(prior: BinaryPrior, ev: Evidence) -> Fraction:
     return Fraction(sum(nums), den)
 
 
-def _posterior(prior: BinaryPrior, ev: Evidence) -> tuple[Fraction, ...]:
-    # posterior masses of (theta=1, theta=0, continuous)
-    return _posterior_weights((ev.confirm, ev.disconfirm), _binary_faces(prior))
+def _posterior(prior: BinaryPrior, ev: Evidence) -> tuple[list[int], int]:
+    # posterior masses of (theta=1, theta=0, continuous) as integer
+    # numerators over their sum
+    return _posterior_numerators((ev.confirm, ev.disconfirm), _binary_faces(prior))
 
 
 def posterior_ug(prior: BinaryPrior, ev: Evidence) -> Fraction:
@@ -167,8 +189,8 @@ def posterior_ug(prior: BinaryPrior, ev: Evidence) -> Fraction:
     ZeroEvidenceProbability when the prior gave the evidence no chance
     at all (conditioning undefined).
     """
-    w1, _, _ = _posterior(prior, ev)
-    return w1
+    (a1, _, _), total = _posterior(prior, ev)
+    return Fraction(a1, total)
 
 
 def bayes_factor_ug(ev: Evidence, alpha: RationalLike = 1) -> Fraction:
@@ -193,14 +215,15 @@ def bayes_factor_ug(ev: Evidence, alpha: RationalLike = 1) -> Fraction:
 def predict_next(prior: BinaryPrior, ev: Evidence) -> Fraction:
     """Probability that the next instance confirms, averaged over the
     posterior: theta=1 predicts 1, theta=0 predicts 0, the continuous
-    part predicts (alpha+confirm) / (alpha+beta+total)."""
-    w1, _, wc = _posterior(prior, ev)
-    out = w1
-    if wc != 0:
-        out += wc * (prior.alpha + ev.confirm) / (
-            prior.alpha + prior.beta + ev.total
-        )
-    return out
+    part predicts (alpha+confirm) / (alpha+beta+total). The answer is made
+    once, as one Fraction, from the integer posterior numerators and the
+    integer ratios of alpha and beta."""
+    (a1, _, ac), total = _posterior(prior, ev)
+    p, q = prior.alpha.as_integer_ratio()
+    r, s = prior.beta.as_integer_ratio()
+    # the continuous part's prediction as num / den, both over q*s
+    num, den = (p + ev.confirm * q) * s, p * s + (r + ev.total * s) * q
+    return Fraction(a1 * den + ac * num, total * den)
 
 
 def predict_block(prior: BinaryPrior, ev: Evidence, horizon: int) -> Fraction:
@@ -209,18 +232,20 @@ def predict_block(prior: BinaryPrior, ev: Evidence, horizon: int) -> Fraction:
     Under the continuous component this is a ratio of rising factorials
     starting at the posterior shape parameters; the point components
     contribute 1 (theta=1) and 0 (theta=0). Equal, term by term, to the
-    product of predict_next over the lengthening record.
+    product of predict_next over the lengthening record. The answer is
+    made once, as one Fraction, from the integer posterior numerators and
+    that ratio.
     """
     if not _whole(horizon):
         raise ValueError("horizon must be an integer")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    w1, _, wc = _posterior(prior, ev)
-    out = w1
-    if wc != 0:
-        a = prior.alpha + ev.confirm
-        out += wc * rising_ratio(a, a + prior.beta + ev.disconfirm, horizon)
-    return out
+    (a1, _, ac), total = _posterior(prior, ev)
+    if not ac:
+        return Fraction(a1, total)
+    a = prior.alpha + ev.confirm
+    r = rising_ratio(a, a + prior.beta + ev.disconfirm, horizon)
+    return Fraction(a1 * r.denominator + ac * r.numerator, total * r.denominator)
 
 
 def exception_probability(p_ug: RationalLike, ev: Evidence) -> Fraction:
@@ -253,9 +278,7 @@ def prior_odds_adjustment(odds: RationalLike, n: int) -> Fraction:
     The adjusted next-instance probability is this factor times
     (n+1)/(n+2); at d = 1 the factor is (n+3)/(n+2).
     """
-    d = as_rational(odds)
-    if d <= 0:
-        raise ValueError("prior odds must be positive")
+    d = _odds(odds)
     if not _whole(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     return (d * (n + 2) + 1) / (d * (n + 1) + 1)

@@ -296,13 +296,14 @@ def _cmd_posterior(args: argparse.Namespace) -> None:
     inputs = {"rule": args.rule, "n": _text(ev.confirm), "m": _text(ev.disconfirm)}
     inputs.update(echo)
 
-    w1, w0, wc = _posterior(prior, ev)
+    (a1, a0, ac), total = _posterior(prior, ev)
     # posterior odds of the point masses against the continuous part are
-    # their prior odds times the Bayes factor
+    # their prior odds times the Bayes factor; ac > 0, as the continuous
+    # part has mass and gives every record a positive marginal
     point_mass = prior.mass_theta1 + prior.mass_theta0
-    factor = (w1 + w0) / wc * prior.mass_continuous / point_mass
+    factor = Fraction(a1 + a0, ac) * prior.mass_continuous / point_mass
     records = [
-        _record("posterior-ug", inputs, w1, args.digits),
+        _record("posterior-ug", inputs, Fraction(a1, total), args.digits),
         _record("bayes-factor", inputs, factor, args.digits),
     ]
     _emit(records, args.format)

@@ -106,8 +106,10 @@ def rising(start: Fraction, count: int) -> Fraction:
             f"a rising factorial of {int_string(count)} terms exceeds the cap "
             f"of {MAX_RISING_TERMS} terms"
         )
-    out = ONE
-    for i in range(count):
+    if not count:
+        return ONE
+    out = start
+    for i in range(1, count):
         out *= start + i
     return out
 
@@ -168,7 +170,8 @@ def beta_sequence_marginal(
     alpha, beta = as_rational(alpha), as_rational(beta)
     if not (_whole(a) and _whole(b)) or a < 0 or b < 0:
         raise ValueError("tallies must be nonnegative integers")
-    if alpha <= 0 or beta <= 0:
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    if alpha.numerator <= 0 or beta.numerator <= 0:
         raise ValueError("beta parameters must be positive")
     # a route's cost is its longest product, the one it divides by: all
     # a + b terms, or one side's tally plus that side's parameter when the

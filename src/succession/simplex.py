@@ -339,14 +339,6 @@ def _posterior_numerators(
     return nums, total
 
 
-def _posterior_weights(
-    counts: tuple[int, ...], components: Sequence[DirichletComponent]
-) -> tuple[Fraction, ...]:
-    """Posterior component weights, one Fraction each."""
-    nums, total = _posterior_numerators(counts, components)
-    return tuple(Fraction(a, total) if a else ZERO for a in nums)
-
-
 def _checked(prior: SimplexMixturePrior, counts: CountsLike) -> tuple[int, ...]:
     cts = _counts(counts)
     if len(cts) != prior.t:
@@ -362,7 +354,8 @@ def mixture_posterior(
     """Posterior component weights, aligned with ``prior.components``:
     prior weight times sequence marginal, normalized. Raises
     ZeroEvidenceProbability when every component dies."""
-    return _posterior_weights(_checked(prior, counts), prior.components)
+    nums, total = _posterior_numerators(_checked(prior, counts), prior.components)
+    return tuple(Fraction(a, total) if a else ZERO for a in nums)
 
 
 def mixture_predictive(

@@ -91,6 +91,33 @@ class TestTypes:
         assert BinaryPrior.from_prior_odds(9) == BinaryPrior(
             F(9, 10), 0, F(1, 10), 1, 1
         )
+        # the named builders skip the constructor's checks; what they build
+        # is the prior the checked constructor makes of the same masses,
+        # whether a parameter comes as an int, a string or a Fraction
+        def same(built, checked):
+            assert built == checked and hash(built) == hash(checked)
+            assert repr(built) == repr(checked)
+            fields = [getattr(built, name) for name in BinaryPrior.__match_args__]
+            assert all(type(f) is F for f in fields)
+            assert fields == [getattr(checked, name) for name in BinaryPrior.__match_args__]
+
+        for a, b, d in [(2, 3, 9), ("5/2", "1/3", "2/7"), (F(1, 2), F(7), F(22, 7)),
+                        ("0.25", 1, "4"), (F(3), "3/2", F(1, 9))]:
+            alpha, beta, odds = F(a), F(b), F(d)
+            same(BinaryPrior.laplace(a, b), BinaryPrior(0, 0, 1, alpha, beta))
+            same(BinaryPrior.haldane(a), BinaryPrior(HALF, 0, HALF, alpha, 1))
+            same(BinaryPrior.jeffreys_split(a),
+                 BinaryPrior(QUARTER, QUARTER, HALF, alpha, 1))
+            same(BinaryPrior.from_prior_odds(d, a),
+                 BinaryPrior(odds / (1 + odds), 0, 1 / (1 + odds), alpha, 1))
+            general = BinaryPrior(F(1, 6), F(1, 3), HALF, alpha, beta)
+            scale = odds / ((1 + odds) * F(1, 2))
+            same(general.with_prior_odds(d),
+                 BinaryPrior(F(1, 6) * scale, F(1, 3) * scale, 1 / (1 + odds), alpha, beta))
+        for call in (lambda: BinaryPrior.haldane(0.5), lambda: BinaryPrior.laplace(True),
+                     lambda: BinaryPrior.laplace(1, 0.5)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_query_horizon_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -224,13 +251,39 @@ class TestPredictNext:
                         prior, Evidence(a, b)
                     ) == oracles.binary_predictive(prior, a, b)
 
-    @given(prior=small_priors(), n=st.integers(0, 30), m=st.integers(0, 30))
-    def test_is_a_probability(self, prior, n, m):
-        try:
-            value = predict_next(prior, Evidence(n, m))
-        except ZeroEvidenceProbability:
+    @given(
+        prior=small_priors(),
+        n=st.integers(0, 30),
+        m=st.integers(0, 30),
+        h=st.integers(1, 6),
+    )
+    def test_is_a_probability(self, prior, n, m, h):
+        # beyond the integer grid: parameters with denominators up to 4 and
+        # zero masses, against ratios of a marginal built with Fraction
+        # arithmetic alone; the evidence is impossible exactly where that
+        # marginal is 0
+        def marginal(a, b):
+            return (prior.mass_theta1 * (b == 0) + prior.mass_theta0 * (a == 0)
+                    + prior.mass_continuous
+                    * oracles.polya_marginal((prior.alpha, prior.beta), (a, b)))
+
+        ev = Evidence(n, m)
+        calls = [lambda: posterior_ug(prior, ev), lambda: predict_next(prior, ev),
+                 lambda: predict_block(prior, ev, h)]
+        here = marginal(n, m)
+        if here == 0:
+            for call in calls:
+                with pytest.raises(ZeroEvidenceProbability) as raised:
+                    call()
+                assert str(raised.value) == (
+                    f"the prior assigns probability 0 to counts {(n, m)}"
+                )
             return
+        value = predict_next(prior, ev)
         assert 0 <= value <= 1
+        assert posterior_ug(prior, ev) == prior.mass_theta1 * (m == 0) / here
+        assert value == marginal(n + 1, m) / here
+        assert predict_block(prior, ev, h) == marginal(n + h, m) / here
 
 
 class TestPredictBlock:
@@ -408,6 +461,11 @@ class TestWithPriorOdds:
         # the odds are checked before alpha
         (lambda: BinaryPrior.from_prior_odds(0, 0), "prior odds must be positive"),
         (lambda: BinaryPrior.from_prior_odds(1, 0), "alpha and beta must be positive"),
+        # the named builders check their parameters as the constructor does
+        (lambda: BinaryPrior.laplace(0), "alpha and beta must be positive"),
+        (lambda: BinaryPrior.laplace(1, "-1/2"), "alpha and beta must be positive"),
+        (lambda: BinaryPrior.haldane(0), "alpha and beta must be positive"),
+        (lambda: BinaryPrior.jeffreys_split(F(-1)), "alpha and beta must be positive"),
         (lambda: bayes_factor_ug(Evidence(3), 0), "alpha must be positive"),
         (lambda: bayes_factor_ug(Evidence(3), F(-1, 2)), "alpha must be positive"),
         (lambda: prior_odds_adjustment(1, -1), "n must be a nonnegative integer"),

@@ -61,6 +61,8 @@ class TestRisingFalling:
     def test_small_values(self):
         assert rising(F(1), 4) == 24
         assert rising(F(1, 2), 3) == F(15, 8)
+        for x in (F(7, 3), 0, F(-2)):
+            assert rising(x, 1) == x and type(rising(x, 1)) is F
         assert falling(5, 2) == 20
         assert falling(2, 5) == 0  # runs out of terms
 
@@ -406,6 +408,12 @@ class TestLongLiterals:
          "tallies must be nonnegative integers"),
         (lambda: beta_sequence_marginal(F(1, 2), 1.0, 2, 0), TypeError,
          "floats are not exact; pass a string, an int, or a Fraction"),
+        (lambda: beta_sequence_marginal(0, F(1), 2, 0), ValueError,
+         "beta parameters must be positive"),
+        (lambda: beta_sequence_marginal(F(1), F(-1, 2), 0, 3), ValueError,
+         "beta parameters must be positive"),
+        (lambda: beta_sequence_marginal("-1/3", F(1, 2), 1, 1), ValueError,
+         "beta parameters must be positive"),
         (lambda: int_string(True), TypeError, "expected an int, got bool"),
         (lambda: int_string(2.0), TypeError, "expected an int, got float"),
         (lambda: decimal_string(F(1, 3), True), ValueError,
