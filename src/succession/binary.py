@@ -69,7 +69,9 @@ class BinaryPrior(_Frozen):
     nonnegative rationals summing to exactly one; ``alpha`` and ``beta``
     are the positive shape parameters of the continuous Beta part (they
     are validated even when that part carries no mass). Each is stored as
-    a Fraction.
+    a Fraction. The named builders check alpha, beta and the odds only:
+    their masses are constants or derived from checked odds, so the prior
+    is stored as built.
     """
 
     __match_args__ = ("mass_theta1", "mass_theta0", "mass_continuous", "alpha", "beta")
@@ -94,17 +96,9 @@ class BinaryPrior(_Frozen):
         self.__dict__.update(zip(self.__match_args__, (m1, m0, mc, *_shape(alpha, beta))))
 
     @classmethod
-    def _built(cls, *fields: Fraction) -> "BinaryPrior":
-        # a prior from checked parts, without the checks: masses that are
-        # constants or derived from checked odds, and a _shape
-        prior = object.__new__(cls)
-        prior.__dict__.update(zip(cls.__match_args__, fields))
-        return prior
-
-    @classmethod
     def laplace(cls, alpha: RationalLike = 1, beta: RationalLike = 1) -> "BinaryPrior":
         """All mass on the continuous part: Beta(alpha, beta), no points."""
-        return cls._built(ZERO, ZERO, ONE, *_shape(alpha, beta))
+        return cls._of(ZERO, ZERO, ONE, *_shape(alpha, beta))
 
     @classmethod
     def haldane(cls, alpha: RationalLike = 1) -> "BinaryPrior":
@@ -113,14 +107,14 @@ class BinaryPrior(_Frozen):
         The even split makes 'the generalization holds' and 'it fails
         somewhere' equally credible before any data arrive.
         """
-        return cls._built(_HALF, ZERO, _HALF, *_shape(alpha, ONE))
+        return cls._of(_HALF, ZERO, _HALF, *_shape(alpha, ONE))
 
     @classmethod
     def jeffreys_split(cls, alpha: RationalLike = 1) -> "BinaryPrior":
         """A quarter at each of theta=1 and theta=0, half on Beta(alpha, 1):
         the sharp hypotheses jointly tie with the vague one, and neither
         sharp direction is favored."""
-        return cls._built(_QUARTER, _QUARTER, _HALF, *_shape(alpha, ONE))
+        return cls._of(_QUARTER, _QUARTER, _HALF, *_shape(alpha, ONE))
 
     @classmethod
     def from_prior_odds(
@@ -130,7 +124,7 @@ class BinaryPrior(_Frozen):
         masses (d/(1+d), 0, 1/(1+d)) for d = odds."""
         p, q = _odds(odds).as_integer_ratio()
         masses = Fraction(p, p + q), ZERO, Fraction(q, p + q)
-        return cls._built(*masses, *_shape(alpha, ONE))
+        return cls._of(*masses, *_shape(alpha, ONE))
 
     def with_prior_odds(self, odds: RationalLike) -> "BinaryPrior":
         """This prior at prior odds ``odds`` for its point masses against
@@ -142,8 +136,8 @@ class BinaryPrior(_Frozen):
         if point == 0:
             raise ValueError("the prior has no point mass for prior odds to weigh")
         scale = d / ((1 + d) * point)
-        return BinaryPrior._built(self.mass_theta1 * scale, self.mass_theta0 * scale,
-                                  1 / (1 + d), self.alpha, self.beta)
+        return BinaryPrior._of(self.mass_theta1 * scale, self.mass_theta0 * scale,
+                               1 / (1 + d), self.alpha, self.beta)
 
 
 def _shape(alpha: RationalLike, beta: RationalLike) -> tuple[Fraction, Fraction]:

@@ -64,11 +64,21 @@ def _counts(value: CountsLike) -> tuple[int, ...]:
 class _Frozen:
     """What the package's value classes share: ``==`` (same class only),
     ``hash`` and ``repr`` over the fields ``__match_args__`` names, and no
-    assignment or deletion. Each subclass's ``__init__`` checks its fields
-    and stores them through ``self.__dict__``; a ``cached_property`` does
-    the same, outside the fields."""
+    assignment or deletion. Each subclass's ``__init__`` checks a user's
+    fields and stores them through ``self.__dict__``; a value the package
+    builds from checked parts is stored as built through ``_of``; a
+    ``cached_property`` stores itself there too, outside the fields."""
 
     __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _of(cls, *fields: object, **outside: object):
+        """An instance from checked parts, without ``__init__``'s checks:
+        ``fields`` in ``__match_args__`` order, ``outside`` any attribute
+        kept outside the fields."""
+        value = object.__new__(cls)
+        value.__dict__.update(zip(cls.__match_args__, fields), **outside)
+        return value
 
     def _fields(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self.__match_args__))
@@ -138,19 +148,6 @@ class DirichletComponent(_Frozen):
         """Dirichlet over all of 0..len(params)-1."""
         return cls(tuple(range(len(params))), params, weight)
 
-    @property
-    def is_vertex(self) -> bool:
-        return len(self.support) == 1
-
-
-def _component(
-    support: tuple[int, ...], params: tuple[Fraction, ...], weight: Fraction
-) -> DirichletComponent:
-    """A DirichletComponent from checked parts, without the checks."""
-    comp = object.__new__(DirichletComponent)
-    comp.__dict__.update(support=support, params=params, weight=weight)
-    return comp
-
 
 class SimplexMixturePrior(_Frozen):
     """A finite mixture of simplex components over ``t`` outcome types."""
@@ -182,16 +179,16 @@ class SimplexMixturePrior(_Frozen):
         other half split evenly over the t vertices.
 
         Gives every 'only type j ever occurs' hypothesis a standing chance
-        while staying open-minded about genuinely mixed worlds.
+        while staying open-minded about genuinely mixed worlds. Only t is
+        checked: the t + 1 components and the prior are built from checked
+        parts and stored as built, the prior marked type-symmetric.
         """
         if not _whole(t) or t < 2:
             raise ValueError("need at least two outcome types")
         vertex_share = Fraction(1, 2 * t)
-        flat = _component(tuple(range(t)), (ONE,) * t, Fraction(1, 2))
-        vertices = [_component((j,), (), vertex_share) for j in range(t)]
-        prior = cls(t, (flat, *vertices))
-        prior.__dict__["_symmetric"] = vertex_share, flat
-        return prior
+        flat = DirichletComponent._of(tuple(range(t)), (ONE,) * t, Fraction(1, 2))
+        vertices = [DirichletComponent._of((j,), (), vertex_share) for j in range(t)]
+        return cls._of(t, (flat, *vertices), _symmetric=(vertex_share, flat))
 
     @cached_property
     def _faces(self) -> list[tuple]:
@@ -432,19 +429,19 @@ def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:
     confirmatory outcome: the theta=1 point becomes the vertex at type 0,
     the theta=0 point the vertex at type 1, and the continuous part a
     Dirichlet(alpha, beta) over both. Equal point masses with alpha = beta
-    make the view type-symmetric, and it is marked so."""
+    make the view type-symmetric, and it is marked so. The faces and the
+    view are built from the checked BinaryPrior and stored as built."""
     faces = _binary_faces(prior)
-    view = SimplexMixturePrior(2, faces)
-    if prior.mass_theta1 == prior.mass_theta0 and prior.alpha == prior.beta:
-        view.__dict__["_symmetric"] = prior.mass_theta1, faces[2]
-    return view
+    symmetric = prior.mass_theta1 == prior.mass_theta0 and prior.alpha == prior.beta
+    mark = (prior.mass_theta1, faces[2]) if symmetric else None
+    return SimplexMixturePrior._of(2, faces, _symmetric=mark)
 
 
 def _binary_faces(prior: BinaryPrior) -> tuple[DirichletComponent, ...]:
     # the components of from_binary_prior, from parts BinaryPrior has checked:
     # the binary module builds them on every call
     return (
-        _component((0,), (), prior.mass_theta1),
-        _component((1,), (), prior.mass_theta0),
-        _component((0, 1), (prior.alpha, prior.beta), prior.mass_continuous),
+        DirichletComponent._of((0,), (), prior.mass_theta1),
+        DirichletComponent._of((1,), (), prior.mass_theta0),
+        DirichletComponent._of((0, 1), (prior.alpha, prior.beta), prior.mass_continuous)
     )

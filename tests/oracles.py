@@ -126,7 +126,7 @@ def component_marginal(comp, counts: tuple[int, ...]) -> Fraction:
     inside = set(comp.support)
     if any(c > 0 and j not in inside for j, c in enumerate(counts)):
         return ZERO
-    if comp.is_vertex:
+    if len(comp.support) == 1:
         return Fraction(1)
     face_counts = tuple(counts[j] for j in comp.support)
     if all(p.denominator == 1 for p in comp.params):
@@ -393,7 +393,7 @@ def fraction_mixture_predictive(
     out = [ZERO] * len(counts)
     weights = fraction_posterior_weights(prior, counts)
     for w, comp in zip(weights, prior.components):
-        if comp.is_vertex:
+        if len(comp.support) == 1:
             out[comp.support[0]] += w
         elif w:
             share = w / (n + sum(comp.params, ZERO))

@@ -38,7 +38,7 @@ def direct_marginal(counts, component):
     gives 1 and any observation outside the support gives 0."""
     if any(c > 0 and j not in component.support for j, c in enumerate(counts)):
         return F(0)
-    if component.is_vertex:
+    if len(component.support) == 1:
         return F(1)
     num = F(1)
     for j, k in zip(component.support, component.params):
@@ -152,6 +152,9 @@ class TestTypes:
         )
         prior = SimplexMixturePrior.hintikka_default(t)
         _assert_same_components(prior.components, want)
+        # the prior is built from those parts too, and marked type-symmetric
+        _assert_same_prior(prior, SimplexMixturePrior(t, want))
+        assert prior._symmetric == (F(1, 2 * t), want[0])
 
     def test_binary_faces_equal_validated_components(self):
         masses = (F(0), F(1, 3), F(1, 2), F(1))
@@ -168,12 +171,25 @@ class TestTypes:
                     DirichletComponent((0, 1), (alpha, beta), cont),
                 )
                 _assert_same_components(_binary_faces(prior), want)
-                _assert_same_components(from_binary_prior(prior).components, want)
+                view = from_binary_prior(prior)
+                _assert_same_components(view.components, want)
+                _assert_same_prior(view, SimplexMixturePrior(2, want))
+                marked = mass1 == mass0 and alpha == beta
+                assert view._symmetric == ((mass1, want[2]) if marked else None)
 
     @pytest.mark.parametrize("t", [0, 1, -3, True, 2.0])
     def test_hintikka_default_needs_two_types(self, t):
         with pytest.raises(ValueError, match="need at least two outcome types"):
             SimplexMixturePrior.hintikka_default(t)
+
+
+def _assert_same_prior(got, want):
+    # a prior built from checked parts equals the validated one in ==, hash
+    # and repr, and is frozen like it
+    assert type(got) is SimplexMixturePrior
+    assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
+    with pytest.raises(AttributeError, match="cannot assign to field"):
+        got.t = 3
 
 
 def _assert_same_components(got, want):
@@ -419,7 +435,7 @@ class TestMixturePosterior:
         weights = mixture_posterior(WITH_EDGES, (2, 1, 0))
         components = WITH_EDGES.components
         for w, comp in zip(weights, components):
-            if comp.is_vertex:
+            if len(comp.support) == 1:
                 assert w == 0
             elif comp.support == (0, 1):
                 assert w > 0
@@ -637,9 +653,7 @@ def _symmetric_prior(t, vertex_weight, a, rng):
     face = DirichletComponent.full((a,) * t, 1 - t * vertex_weight)
     comps.append(face)
     rng.shuffle(comps)
-    prior = SimplexMixturePrior(t, comps)
-    vars(prior)["_symmetric"] = vertex_weight, face
-    return prior
+    return SimplexMixturePrior._of(t, tuple(comps), _symmetric=(vertex_weight, face))
 
 
 def _per_face(prior):
