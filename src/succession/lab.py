@@ -484,16 +484,12 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
             f"asked for {k} draws from an urn of {urn.total} balls"
         )
     _check_shape(urn.t, k)
-    nums: dict[tuple[int, ...], int] = {}
+    # per colour, falling(balls, c) for c = 0..k: 0 from c = balls + 1 on
+    steps = (range(balls, balls - k, -1) for balls in urn.colors)
+    tables = [[*itertools.accumulate(s, operator.mul, initial=1)] for s in steps]
     # table order: first appearance, the compositions' order reversed
-    for counts in reversed([*_compositions(k, urn.t)]):
-        num = 1
-        for balls, c in zip(urn.colors, counts):
-            if c:  # falling(balls, 0) is 1
-                num *= falling(balls, c)
-                if num == 0:
-                    break
-        nums[counts] = num
+    classes = reversed([*_compositions(k, urn.t)])
+    nums = {c: math.prod(map(list.__getitem__, tables, c)) for c in classes}
     den = falling(urn.total, k)
     return SequenceLaw.__new__(SequenceLaw)._store(urn.t, k, den, nums)
 

@@ -954,10 +954,11 @@ class TestCanonicalMixture:
         assert is_exchangeable(mixed)
         assert admits_exchangeable_extension(mixed)
 
-    @pytest.mark.parametrize("t", [2, 3])
-    def test_integer_routes_match_the_reference(self, t):
-        # criterion 11's grid: every urn of up to 12 balls, every k
-        for total in range(1, 13):
+    @pytest.mark.parametrize(("t", "max_balls"), [(2, 20), (3, 12)])
+    def test_integer_routes_match_the_reference(self, t, max_balls):
+        # every urn the lab-sweep benchmark draws (criterion 11's grid of up
+        # to 12 balls, and two colours up to 20), every k
+        for total in range(1, max_balls + 1):
             for colors in _compositions(total, t):
                 urn = UrnComposition(colors)
                 full = urn_law(urn, total)
@@ -972,6 +973,21 @@ class TestCanonicalMixture:
                     )
                     _assert_matches_fraction_routes(law)
                     _assert_matches_fraction_routes(mixed)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_urn_law_matches_the_reference_past_three_colours(self, data):
+        # t**k stays under the cap while the urn holds at most 7 balls
+        t = data.draw(st.integers(4, 6))
+        colors = data.draw(
+            st.lists(st.integers(0, 3), min_size=t, max_size=t).filter(
+                lambda c: 1 <= sum(c) <= 7
+            )
+        )
+        k = data.draw(st.integers(1, sum(colors)))
+        urn = UrnComposition(colors)
+        # by value: the reference lists its classes in lexicographic order
+        assert urn_law(urn, k).class_table() == oracles.urn_law(urn, k).class_table()
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
