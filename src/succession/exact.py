@@ -136,7 +136,8 @@ def falling(start: int, count: int) -> int:
 
 def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fraction:
     """``rising(num_start, count) / rising(den_start, count)``, for positive
-    starts.
+    starts; a start of 0 or below is refused at every count, equal starts
+    and count 0 included.
 
     This is the Beta marginal of ``count`` straight successes, so
     :func:`beta_sequence_marginal` picks the route. When the starts differ
@@ -147,6 +148,8 @@ def rising_ratio(num_start: Fraction, den_start: Fraction, count: int) -> Fracti
     num_start, den_start = as_rational(num_start), as_rational(den_start)
     if not _whole(count) or count < 0:
         raise ValueError("ratio needs a nonnegative integer term count")
+    if num_start <= 0 or den_start <= 0:
+        raise ValueError("ratio needs positive starts")
     if count == 0 or num_start == den_start:
         return ONE
     lo, hi = sorted((num_start, den_start))

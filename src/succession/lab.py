@@ -121,6 +121,17 @@ def _check_shape(t: int, length: int) -> None:
         )
 
 
+class _Reduced(dict):
+    """numerator -> its reduced Fraction over ``den``, made on the first
+    lookup of that numerator; a numerator looked up again costs one hash."""
+
+    def __init__(self, den: int) -> None:
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        return self.setdefault(num, Fraction(num, self.den))
+
+
 class SequenceLaw:
     """An exact probability distribution over all ``t**length`` sequences
     of symbols 0..t-1.
@@ -214,8 +225,7 @@ class SequenceLaw:
     def _fractions(self, nums: Collection[int]) -> Iterator[Fraction]:
         # the numerators over the law's denominator: one reduced Fraction per
         # distinct numerator, shared by every entry that has it
-        made = {n: Fraction(n, self._den) for n in set(nums)}
-        return map(made.__getitem__, nums)
+        return map(_Reduced(self._den).__getitem__, nums)
 
     def _count_numerators(self) -> dict[tuple[int, ...], int]:
         # numerator of the mass of each count vector, over the law's denominator

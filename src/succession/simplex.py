@@ -17,7 +17,7 @@ one Fraction per entry.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -192,21 +192,18 @@ class SimplexMixturePrior(_Frozen):
 
     @cached_property
     def _faces(self) -> list[tuple]:
-        """The weighted components in integer form, worked out once per prior."""
-        return _integer_faces(self.components)
-
-
-def _integer_faces(components: Sequence[DirichletComponent]) -> list[tuple]:
-    """(component, support, p_j, q, P) per weighted component, the parameters
-    p_j/q over their lcm q and P their sum: the face predicts (n_j*q + p_j) /
-    (n*q + P) at its types j. A vertex has p = P = 1, q = 0: its share is 1."""
-    faces = []
-    for c in components:
-        if c.weight:
-            ratios = [k.as_integer_ratio() for k in c.params]
-            ps, q = _over_lcm(ratios) if ratios else ([1], 0)
-            faces.append((c, c.support, ps, q, sum(ps)))
-    return faces
+        """(support, params, weight, p_j, q, P) per weighted component,
+        worked out once per prior: a plain face the marginal engine reads,
+        with the parameters p_j/q over their lcm q and P their sum, so the
+        face predicts (n_j*q + p_j) / (n*q + P) at its types j. A vertex has
+        p = P = 1, q = 0: its share is 1."""
+        faces = []
+        for c in self.components:
+            if c.weight:
+                ratios = [k.as_integer_ratio() for k in c.params]
+                ps, q = _over_lcm(ratios) if ratios else ([1], 0)
+                faces.append((c.support, c.params, c.weight, ps, q, sum(ps)))
+        return faces
 
 
 def observed_type_count(counts: CountsLike) -> int:
@@ -269,19 +266,25 @@ def sequence_marginal(counts: CountsLike, component: DirichletComponent) -> Frac
         raise DimensionMismatch(
             f"component support exceeds t={len(cts)}"
         )
-    return _marginal(cts, sum(cts), component)
+    return _marginal(cts, sum(cts), component.support, component.params)
 
 
 def _marginal(
-    counts: tuple[int, ...], total: int, face: DirichletComponent
+    counts: tuple[int, ...], total: int, support: Sequence[int], ks: Sequence[Fraction]
 ) -> Fraction:
-    """sequence_marginal on a checked tuple ``counts`` summing to ``total``."""
-    ks = face.params
-    ns = [counts[j] for j in face.support]
+    """sequence_marginal on a checked tuple ``counts`` summing to ``total``,
+    for the face with that support and those parameters."""
+    ns = [counts[j] for j in support]
     if sum(ns) != total:
         return ZERO
-    if len(ks) > 2:
-        ks, ns = _aggregated(ks, ns)
+    if len(ks) > 2 and ns.count(0) > 1:
+        # Dirichlet aggregation: the face's unobserved types act as one type
+        # whose parameter is their sum, so only observed types are split off
+        seen = [i for i, n in enumerate(ns) if n]
+        unseen = [k.as_integer_ratio() for k, n in zip(ks, ns) if not n]
+        nums, den = _over_lcm(unseen)
+        ks = [ks[i] for i in seen] + [Fraction(sum(nums), den)]
+        ns = [ns[i] for i in seen] + [0]
     # last split first: zip pairs type j with the running totals of the
     # parameters and counts after it
     factors = [
@@ -293,41 +296,30 @@ def _marginal(
     return reduce(mul, factors) if factors else ONE
 
 
-def _aggregated(
-    ks: Sequence[Fraction], ns: list[int]
-) -> tuple[Sequence[Fraction], list[int]]:
-    # Dirichlet aggregation: the face's unobserved types act as one type
-    # whose parameter is their sum, so only observed types are split off
-    seen = [i for i, n in enumerate(ns) if n]
-    if len(seen) + 1 >= len(ns):
-        return ks, ns
-    unseen = [ks[i].as_integer_ratio() for i, n in enumerate(ns) if not n]
-    nums, den = _over_lcm(unseen)
-    rest = Fraction(sum(nums), den)
-    return [ks[i] for i in seen] + [rest], [ns[i] for i in seen] + [0]
-
-
 def _weighted_marginals(
-    counts: tuple[int, ...], components: Sequence[DirichletComponent]
+    counts: tuple[int, ...], faces: Iterable[tuple]
 ) -> tuple[list[int], int]:
-    """Weight times sequence marginal per component, as integer numerators
-    over the lcm of the unreduced products' denominators; a weightless
-    component is never evaluated."""
+    """Weight times sequence marginal per face, read once, in order; a face
+    is a plain tuple that starts (support, params, weight). The products are
+    integer numerators over the lcm of their unreduced denominators, known up
+    to that common factor. A weightless face is never evaluated, and it and
+    a dead face add 0 over 1, leaving the lcm to the others."""
     n = sum(counts)
     pairs = []
-    for c in components:
-        w = c.weight
-        m = _marginal(counts, n, c) if w else ZERO
-        pairs.append((w.numerator * m.numerator, w.denominator * m.denominator))
+    for f in faces:
+        w = f[2]
+        m = _marginal(counts, n, f[0], f[1]) if w else ZERO
+        pairs.append((w.numerator * m.numerator, w.denominator * m.denominator)
+                     if m is not ZERO else (0, 1))
     return _over_lcm(pairs)
 
 
 def _posterior_numerators(
-    counts: tuple[int, ...], components: Sequence[DirichletComponent]
+    counts: tuple[int, ...], faces: Iterable[tuple]
 ) -> tuple[list[int], int]:
-    """Posterior component weights as integer numerators over their sum.
-    Raises ZeroEvidenceProbability when every component dies."""
-    nums, _ = _weighted_marginals(counts, components)
+    """Posterior face weights as integer numerators over their sum.
+    Raises ZeroEvidenceProbability when every face dies."""
+    nums, _ = _weighted_marginals(counts, faces)
     total = sum(nums)
     if total == 0:
         raise ZeroEvidenceProbability(
@@ -351,7 +343,11 @@ def mixture_posterior(
     """Posterior component weights, aligned with ``prior.components``:
     prior weight times sequence marginal, normalized. Raises
     ZeroEvidenceProbability when every component dies."""
-    nums, total = _posterior_numerators(_checked(prior, counts), prior.components)
+    # every component's fields, weightless ones included, one face at a
+    # time: not _faces, whose integer shares the weights do not need, and no
+    # list of t + 1 tuples for the garbage collector to walk
+    faces = ((c.support, c.params, c.weight) for c in prior.components)
+    nums, total = _posterior_numerators(_checked(prior, counts), faces)
     return tuple(Fraction(a, total) if a else ZERO for a in nums)
 
 
@@ -374,14 +370,14 @@ def mixture_predictive(
     if prior._symmetric:
         return _symmetric_predictive(cts, *prior._symmetric)
     n = sum(cts)
-    live = [f for f in prior._faces if sum(map(cts.__getitem__, f[1])) == n]
+    live = [f for f in prior._faces if sum(map(cts.__getitem__, f[0])) == n]
     if len(live) == 1:
         nums, total = [1], 1
     else:
-        nums, total = _posterior_numerators(cts, [f[0] for f in live])
+        nums, total = _posterior_numerators(cts, live)
     den = math.lcm(*{n * q + p for *_, q, p in live})
     out = [0] * len(cts)
-    for a, (_, support, ps, q, p) in zip(nums, live):
+    for a, (support, _, _, ps, q, p) in zip(nums, live):
         scale = a * (den // (n * q + p))
         for j, p_j in zip(support, ps):
             out[j] += (cts[j] * q + p_j) * scale
@@ -429,19 +425,20 @@ def from_binary_prior(prior: BinaryPrior) -> SimplexMixturePrior:
     confirmatory outcome: the theta=1 point becomes the vertex at type 0,
     the theta=0 point the vertex at type 1, and the continuous part a
     Dirichlet(alpha, beta) over both. Equal point masses with alpha = beta
-    make the view type-symmetric, and it is marked so. The faces and the
-    view are built from the checked BinaryPrior and stored as built."""
-    faces = _binary_faces(prior)
+    make the view type-symmetric, and it is marked so. The components and
+    the view are built from the checked BinaryPrior and stored as built."""
+    comps = tuple(DirichletComponent._of(*f) for f in _binary_faces(prior))
     symmetric = prior.mass_theta1 == prior.mass_theta0 and prior.alpha == prior.beta
-    mark = (prior.mass_theta1, faces[2]) if symmetric else None
-    return SimplexMixturePrior._of(2, faces, _symmetric=mark)
+    mark = (prior.mass_theta1, comps[2]) if symmetric else None
+    return SimplexMixturePrior._of(2, comps, _symmetric=mark)
 
 
-def _binary_faces(prior: BinaryPrior) -> tuple[DirichletComponent, ...]:
-    # the components of from_binary_prior, from parts BinaryPrior has checked:
-    # the binary module builds them on every call
+def _binary_faces(prior: BinaryPrior) -> tuple[tuple, ...]:
+    # (support, params, weight) of from_binary_prior's three components, from
+    # parts BinaryPrior has checked: the binary answers hand these plain faces
+    # to the engine on every call, and only from_binary_prior wraps them
     return (
-        DirichletComponent._of((0,), (), prior.mass_theta1),
-        DirichletComponent._of((1,), (), prior.mass_theta0),
-        DirichletComponent._of((0, 1), (prior.alpha, prior.beta), prior.mass_continuous)
+        ((0,), (), prior.mass_theta1),
+        ((1,), (), prior.mass_theta0),
+        ((0, 1), (prior.alpha, prior.beta), prior.mass_continuous),
     )

@@ -5,17 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from succession import (
     BinaryPrior,
+    DirichletComponent,
     Evidence,
     UGFalsified,
     ZeroEvidenceProbability,
     bayes_factor_ug,
     exception_probability,
+    from_binary_prior,
     marginal_likelihood,
     posterior_ug,
     predict_block,
     predict_next,
     prior_odds_adjustment,
 )
+from succession.cli import main
 import oracles
 
 HALF = F(1, 2)
@@ -479,6 +482,35 @@ def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_binary_answers_build_no_component(monkeypatch, capsys):
+    # the binary answers hand plain (support, params, weight) faces to the
+    # simplex engine: no DirichletComponent is built, checked or from parts
+    priors = [LAPLACE, HALDANE, SPLIT, BinaryPrior(QUARTER, F(1, 8), F(5, 8), HALF, 3)]
+    records = [Evidence(n, m) for n, m in ((0, 0), (5, 0), (0, 2), (4, 1))]
+
+    def answers():
+        for prior in priors:
+            for ev in records:
+                yield marginal_likelihood(prior, ev)
+                yield predict_next(prior, ev)
+                yield predict_block(prior, ev, 3)
+                yield posterior_ug(prior, ev)
+        for argv in (["--n", "10"], ["--rule", "jeffreys-split", "--n", "4", "--m", "1"]):
+            assert main(["posterior", *argv, "--format", "json"]) == 0
+            yield capsys.readouterr().out
+
+    want = list(answers())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DirichletComponent was built")
+
+    monkeypatch.setattr(DirichletComponent, "__init__", refuse)
+    monkeypatch.setattr(DirichletComponent, "_of", refuse)
+    with pytest.raises(AssertionError, match="a DirichletComponent was built"):
+        from_binary_prior(HALDANE)
+    assert list(answers()) == want
 
 
 class TestGoldbachScale:

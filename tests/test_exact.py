@@ -142,11 +142,15 @@ class TestRisingRatio:
         assert rising_ratio(num, den, count) == explicit
 
     @pytest.mark.parametrize(
-        "num, den", [(F(0), F(1)), (F(-1, 2), F(1)), (F(2), F(-1))]
+        "num, den",
+        [(F(0), F(1)), (F(-1, 2), F(1)), (F(2), F(-1)),
+         # equal starts are refused too, not read as 0/0 = 1
+         (F(0), F(0)), (F(-1), F(-1)), (F(-3, 2), F(-3, 2))],
     )
     def test_nonpositive_start_rejected(self, num, den):
-        with pytest.raises(ValueError):
-            rising_ratio(num, den, 3)
+        for count in (0, 1, 3):
+            with pytest.raises(ValueError, match="^ratio needs positive starts$"):
+                rising_ratio(num, den, count)
 
     def test_telescoped_path_handles_huge_counts(self):
         # integer gap of 1: the ratio collapses to start/(start+count)
@@ -385,6 +389,12 @@ class TestLongLiterals:
          "ratio needs a nonnegative integer term count"),
         (lambda: rising_ratio(F(1, 2), F(1, 2), -3), ValueError,
          "ratio needs a nonnegative integer term count"),
+        # both starts are checked before the early return
+        (lambda: rising_ratio(0, 0, 3), ValueError, "ratio needs positive starts"),
+        (lambda: rising_ratio(-1, -1, 2), ValueError, "ratio needs positive starts"),
+        (lambda: rising_ratio(F(1, 2), 0, 0), ValueError, "ratio needs positive starts"),
+        (lambda: rising_ratio("-1/2", F(3, 2), 4), ValueError,
+         "ratio needs positive starts"),
         (lambda: decimal_string(F(1, 3), -1), ValueError,
          "digits must be a nonnegative integer"),
         # no float leaves and no bool or float counts as a count or a digit

@@ -170,7 +170,10 @@ class TestTypes:
                     DirichletComponent((1,), (), mass0),
                     DirichletComponent((0, 1), (alpha, beta), cont),
                 )
-                _assert_same_components(_binary_faces(prior), want)
+                # the binary answers read the validated components' fields
+                # as plain faces; the view wraps them into equal components
+                faces = tuple((c.support, c.params, c.weight) for c in want)
+                assert _binary_faces(prior) == faces
                 view = from_binary_prior(prior)
                 _assert_same_components(view.components, want)
                 _assert_same_prior(view, SimplexMixturePrior(2, want))
@@ -893,10 +896,10 @@ class TestLoneSurvivor:
         assert len(cases) >= 20
         marginal = simplex._marginal
 
-        def survivors_only(counts, total, face):
-            held = sum(counts[j] for j in face.support) == total
-            assert held, f"marginal of a dead component {face} at {counts}"
-            return marginal(counts, total, face)
+        def survivors_only(counts, total, support, params):
+            held = sum(counts[j] for j in support) == total
+            assert held, f"marginal of a dead face {support} at {counts}"
+            return marginal(counts, total, support, params)
 
         monkeypatch.setattr(simplex, "_marginal", survivors_only)
         for counts, want in cases.items():
@@ -954,8 +957,20 @@ class TestIntegerForms:
         mixture_predictive(prior, (0, 0, 1))
         assert prior._faces is faces
         assert prior._symmetric is None
-        # the weightless vertex is left out; a vertex's share is 1 at any count
-        assert [f[1:] for f in faces] == [((2,), [1], 0, 1), ((0, 1), [3, 4], 6, 7)]
+        # (support, params, weight, p_j, q, P): the weightless vertex is left
+        # out, and a vertex's share is 1 at any count
+        assert faces == [
+            ((2,), (), F(1, 4), [1], 0, 1),
+            ((0, 1), (F(1, 2), F(2, 3)), F(3, 4), [3, 4], 6, 7),
+        ]
+
+    def test_posterior_weights_leave_the_faces_unbuilt(self):
+        # mixture_posterior reads the components' own fields, so a fresh
+        # prior's integer faces are never worked out
+        prior = _reweighted_hintikka(4)
+        weights = mixture_posterior(prior, (3, 0, 0, 0))
+        assert len(weights) == len(prior.components) and sum(weights) == 1
+        assert "_faces" not in vars(prior)
 
     def test_a_component_order_changes_nothing(self):
         comps = list(_integer_form_priors(4)[-2].components)
