@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import simplex
 from .errors import UGFalsified
 from .exact import ONE, ZERO, RationalLike, _whole, as_rational, rising_ratio
 from .simplex import _binary_faces, _Frozen, _posterior_numerators, _weighted_marginals
@@ -138,6 +139,11 @@ class BinaryPrior(_Frozen):
         scale = d / ((1 + d) * point)
         return BinaryPrior._of(self.mass_theta1 * scale, self.mass_theta0 * scale,
                                1 / (1 + d), self.alpha, self.beta)
+
+
+# simplex annotates its binary view with BinaryPrior but cannot import it (this
+# module imports simplex first), so the name is bound there once it exists
+simplex.BinaryPrior = BinaryPrior
 
 
 def _shape(alpha: RationalLike, beta: RationalLike) -> tuple[Fraction, Fraction]:

@@ -16,7 +16,13 @@ on integers. A table from outside the package is checked to sum to 1; one
 the package builds sums to 1 by construction and lists its count vectors in
 table order (each at its first appearance among the sequences). Urn laws,
 canonical mixtures and exchangeable rules' laws are built per class; the
-dense constructor classifies its table as it validates it.
+dense constructor classifies its table as it validates it. A shape table,
+one per process, holds per (length, t) the count vectors in table order and
+their multiplicities keyed by count vector, each made on first use; urn
+laws, canonical mixtures, class-stored count distributions and distances
+read it instead of walking the compositions again. It holds at most
+MAX_TABLE_SIZE count-vector entries (classes times t) over all its shapes,
+dropping the least recently used shape first.
 Pairwise operations use the class form when both operands carry it, which
 makes exhaustive sweeps over urns affordable. A predictive rule is walked on
 the count lattice first; when two orderings of a count vector get unequal
@@ -31,8 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from _thread import allocate_lock  # loaded with the interpreter, unlike threading
+from collections import OrderedDict
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import cached_property
 
 from . import _LAB_NAMES as __all__  # the package lists them before lab loads
 from .errors import DimensionMismatch, InvalidRule, SampleTooLarge, TableTooLarge
@@ -81,18 +90,63 @@ def _levels(t: int) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
         ids = list(itertools.chain.from_iterable(map(successors.__getitem__, ids)))
 
 
-def _factorials(length: int) -> list[int]:
-    # 0!, 1!, ..., length!: one table per call serves every class multiplicity
-    return list(itertools.accumulate(range(1, length + 1), operator.mul, initial=1))
+class _Shape:
+    """The count vectors of ``length`` draws over ``t`` types in table order
+    (each at its first appearance among the sequences: the compositions'
+    order reversed), and their multiplicities, the number of sequences that
+    have each vector, keyed by vector and made on first use."""
+
+    def __init__(self, length: int, t: int) -> None:
+        self.length = length
+        self.vectors = tuple(reversed([*_compositions(length, t)]))
+
+    @cached_property
+    def multiplicities(self) -> dict[tuple[int, ...], int]:
+        factorials = [*itertools.accumulate(range(1, self.length + 1), operator.mul,
+                                            initial=1)]
+        top, factorial = factorials[-1], factorials.__getitem__
+        return {c: top // math.prod(map(factorial, c)) for c in self.vectors}
 
 
-def _multiplicity(counts: tuple[int, ...], factorials: list[int]) -> int:
-    # number of sequences sharing this count vector; the table ends at the
-    # vector's total
-    out = factorials[-1]
-    for c in counts:
-        out //= factorials[c]
-    return out
+class _ShapeTable:
+    """(length, t) -> its _Shape, built on first use and then kept. At most
+    MAX_TABLE_SIZE count-vector entries (classes times t) are held over all
+    shapes; the least recently used shape goes first. A shape goes in only
+    once built, so a thread sees a whole shape or builds its own."""
+
+    def __init__(self) -> None:
+        # least recently used first
+        self._held: OrderedDict[tuple[int, int], _Shape] = OrderedDict()
+        self._entries = 0
+        self._lock = allocate_lock()  # held while a shape goes in or out
+
+    def of(self, length: int, t: int) -> _Shape:
+        key = (length, t)
+        shape = self._held.get(key)
+        if shape is not None:
+            try:
+                self._held.move_to_end(key)
+            except KeyError:  # evicted since the lookup, and still whole
+                pass
+            return shape
+        built = _Shape(length, t)
+        with self._lock:
+            shape = self._held.setdefault(key, built)  # another thread's, if it won
+            if shape is built:
+                self._entries += len(built.vectors) * t
+                # _check_shape keeps each shape within the cap, so it stays
+                while self._entries > MAX_TABLE_SIZE:
+                    (_, old_t), old = self._held.popitem(last=False)
+                    self._entries -= len(old.vectors) * old_t
+        return shape
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self._entries = 0
+
+
+_SHAPES = _ShapeTable()
 
 
 def _over_cap(m: int, k: int, t: int) -> bool:
@@ -230,11 +284,8 @@ class SequenceLaw:
     def _count_numerators(self) -> dict[tuple[int, ...], int]:
         # numerator of the mass of each count vector, over the law's denominator
         if self._classes is not None:
-            factorials = _factorials(self.length)
-            return {
-                c: n * _multiplicity(c, factorials) if n else 0
-                for c, n in self._classes.items()
-            }
+            sizes = _SHAPES.of(self.length, self.t).multiplicities
+            return {c: n * sizes[c] for c, n in self._classes.items()}
         ids, vectors = next(itertools.islice(_levels(self.t), self.length, None))
         sums = [0] * len(vectors)
         for k, n in zip(ids, self._dense):
@@ -497,9 +548,8 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
     # per colour, falling(balls, c) for c = 0..k: 0 from c = balls + 1 on
     steps = (range(balls, balls - k, -1) for balls in urn.colors)
     tables = [[*itertools.accumulate(s, operator.mul, initial=1)] for s in steps]
-    # table order: first appearance, the compositions' order reversed
-    classes = reversed([*_compositions(k, urn.t)])
-    nums = {c: math.prod(map(list.__getitem__, tables, c)) for c in classes}
+    nums = {c: math.prod(map(list.__getitem__, tables, c))
+            for c in _SHAPES.of(k, urn.t).vectors}
     den = falling(urn.total, k)
     return SequenceLaw.__new__(SequenceLaw)._store(urn.t, k, den, nums)
 
@@ -520,7 +570,7 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
     mixing = {m: w for m, w in law._count_numerators().items() if w}
     # a class gets sum_m mixing_m * prod_j m_j**c_j over law._den * n**k
     nums: dict[tuple[int, ...], int] = {}
-    for counts in reversed([*_compositions(k, law.t)]):  # in table order
+    for counts in _SHAPES.of(k, law.t).vectors:
         total = 0
         for m, term in mixing.items():
             for m_j, c_j in zip(m, counts):
@@ -544,8 +594,8 @@ def variation_distance(a: SequenceLaw, b: SequenceLaw) -> Fraction:
     scale_a, scale_b = den // a._den, den // b._den
     ta, tb = a._classes, b._classes
     if ta is not None and tb is not None:
-        factorials = _factorials(a.length)
-        rows = ((n, tb[c], _multiplicity(c, factorials)) for c, n in ta.items())
+        sizes = _SHAPES.of(a.length, a.t).multiplicities
+        rows = ((n, tb[c], sizes[c]) for c, n in ta.items())
     else:
         rows = zip(a._numerators(), b._numerators(), itertools.repeat(1))
     total = sum(abs(na * scale_a - nb * scale_b) * m for na, nb, m in rows)

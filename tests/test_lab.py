@@ -1,8 +1,10 @@
 import argparse
+import collections
 import functools
 import itertools
 import math
 import sys
+import threading
 import time
 from fractions import Fraction as F
 
@@ -1051,6 +1053,153 @@ class TestVariationDistance:
         d = variation_distance(a, b)
         assert d == variation_distance(b, a)
         assert 0 <= d <= 2
+
+
+def _criterion_11_sweep():
+    """Every class table, count distribution and distance criterion 11's
+    urn grid makes: the tables as their stored numerators over their
+    denominators, in (key, value) lists so that key order counts too."""
+    out = []
+
+    def tables(law):
+        out.append((law._den, [*law._classes.items()], [*law._count_numerators().items()]))
+
+    for t in (2, 3):
+        for total in range(1, 13):
+            for colors in _compositions(total, t):
+                urn = UrnComposition(colors)
+                full = urn_law(urn, total)
+                tables(full)
+                for k in range(1, total + 1):
+                    a, b = urn_law(urn, k), canonical_mixture(full, k)
+                    tables(a)
+                    tables(b)
+                    out.append(variation_distance(a, b))
+    return out
+
+
+class TestShapeTable:
+    """``lab._SHAPES`` keeps each shape's count vectors and multiplicities
+    for the kernels that read them: urn_law, canonical_mixture, the class
+    branch of the count distribution, and variation_distance."""
+
+    def test_cold_and_warm_agree_on_criterion_11_grid(self):
+        lab._SHAPES.clear()
+        cold = _criterion_11_sweep()
+        assert lab._SHAPES._held  # the sweep filled the table
+        warm = _criterion_11_sweep()
+        assert cold == warm
+
+    def test_shapes_against_their_definitions(self):
+        lab._SHAPES.clear()
+        for t, length in ((2, 1), (2, 20), (3, 12), (5, 4), (40, 2)):
+            shape = lab._SHAPES.of(length, t)
+            # the count vectors in the order they first appear in the table,
+            # each with the number of sequences that have it
+            ids, vectors = next(itertools.islice(_levels(t), length, None))
+            assert list(shape.vectors) == vectors
+            assert shape.multiplicities == {
+                vectors[i]: n for i, n in collections.Counter(ids).items()}
+            assert lab._SHAPES.of(length, t) is shape
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    def test_caller_key_order_reads_by_count_vector(self, cold):
+        urn = UrnComposition((2, 3, 1))
+        law = urn_law(urn, 4)
+        table = law.class_table()
+        shuffled = dict(sorted(table.items(), key=lambda item: (item[0][1], item[1])))
+        assert list(shuffled) != list(table)
+        if cold:
+            lab._SHAPES.clear()
+        ordered = SequenceLaw.from_class_probabilities(3, 4, table)
+        mixed = SequenceLaw.from_class_probabilities(3, 4, shuffled)
+        assert list(mixed.count_distribution()) == list(shuffled)
+        assert mixed.count_distribution() == ordered.count_distribution()
+        others = (canonical_mixture(urn_law(urn, 6), 4),
+                  law_from_predictive(_run_rule(3), 3, 4), ordered)
+        for other in others:
+            for a, b in ((mixed, other), (other, mixed)):
+                assert variation_distance(a, b) == oracles.variation_distance(a, b)
+            assert variation_distance(mixed, other) == variation_distance(ordered, other)
+        assert variation_distance(mixed, ordered) == 0
+
+    def test_the_table_holds_at_most_the_cap(self):
+        lab._SHAPES.clear()
+        sizes = range(2, 200)
+        assert sum(t * t for t in sizes) > MAX_TABLE_SIZE  # (1, t): t classes of t
+        for t in sizes:
+            urn_law(UrnComposition([1] * t), 1)
+        held = lab._SHAPES._held
+        entries = sum(len(shape.vectors) * t for (_, t), shape in held.items())
+        assert entries == lab._SHAPES._entries <= MAX_TABLE_SIZE
+        assert list(held)[-1] == (1, 199) and (1, 2) not in held
+        # least recently used goes first: a shape read again outlives the rest
+        first, second = list(held)[:2]
+        lab._SHAPES.of(*first)
+        urn_law(UrnComposition([1] * 200), 1)
+        assert first in held and second not in held
+        # a shape of exactly the cap's size is held alone
+        urn_law(UrnComposition([1] * 1024), 1)
+        assert list(held) == [(1, 1024)] and lab._SHAPES._entries == MAX_TABLE_SIZE
+        lab._SHAPES.clear()
+
+    def test_no_law_or_result_shares_the_table(self):
+        lab._SHAPES.clear()
+        urn = UrnComposition((3, 2))
+        full, law = urn_law(urn, 5), urn_law(urn, 3)
+        mixed = canonical_mixture(full, 3)
+        shared = [law._classes, mixed._classes, full._classes,
+                  law.class_table(), mixed.class_table(), law.count_distribution(),
+                  full.count_distribution(), mixed.count_distribution(),
+                  SequenceLaw.from_class_probabilities(2, 3, law.class_table())._classes]
+        variation_distance(law, mixed)
+        table = [lab._SHAPES._held, *lab._SHAPES._held.values()]
+        table += [shape.multiplicities for shape in table[1:]]
+        assert not {id(x) for x in shared} & {id(x) for x in table}
+        for d in shared:  # the table's shapes stay as they were
+            d.clear()
+        for length in (3, 5):
+            shape = lab._SHAPES.of(length, 2)
+            assert shape.vectors == tuple((length - j, j) for j in range(length + 1))
+            assert list(shape.multiplicities.values()) == [
+                math.comb(length, j) for j in range(length + 1)]
+
+    def test_threads_see_whole_shapes(self):
+        # shapes of about half the cap each, so threads evict one another's
+        shapes = [(2, t) for t in range(96, 102)]
+        assert all(math.comb(t + 1, 2) * t > MAX_TABLE_SIZE // 3 for _, t in shapes)
+        lab._SHAPES.clear()
+        want = {t: (lab._SHAPES.of(2, t).vectors, lab._SHAPES.of(2, t).multiplicities)
+                for _, t in shapes}
+        lab._SHAPES.clear()
+        problems = []
+
+        def read(offset):
+            try:
+                for length, t in shapes[offset:] + shapes[:offset]:
+                    shape = lab._SHAPES.of(length, t)
+                    if (shape.vectors, shape.multiplicities) != want[t]:
+                        problems.append((length, t))
+            except Exception as exc:  # a partial shape may raise, not differ
+                problems.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # more threads than the two cores CI runners have
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert lab._SHAPES._entries == sum(
+            len(shape.vectors) * t for (_, t), shape in lab._SHAPES._held.items())
+        assert lab._SHAPES._entries <= MAX_TABLE_SIZE
+        lab._SHAPES.clear()
 
 
 class TestDfBound:

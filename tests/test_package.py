@@ -3,15 +3,18 @@
 ``Evidence``, ``BinaryPrior``, ``DirichletComponent`` and
 ``SimplexMixturePrior`` are plain frozen classes. Their repr, equality,
 hash, field order, immutability, copies and pickles are pinned here as
-literals. The package's ``__all__`` is pinned too, and ``lab`` stays
-unloaded until one of its names is used.
+literals. The package's ``__all__`` is pinned too, every annotation in it
+resolves, and ``lab`` stays unloaded until one of its names is used.
 """
 
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
+import typing
 from fractions import Fraction as F
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -172,3 +175,35 @@ def test_a_bare_import_leaves_lab_unloaded():
     )
     # dir() lists the lab names before they load; the first use binds them all
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True True True\n", "")
+
+
+def _public_callables():
+    """(name, function or class) for every public function, class and
+    method (properties and cached properties by their getters) that
+    ``succession.__all__`` exports."""
+    for name in succession.__all__:
+        value = getattr(succession, name)
+        if not callable(value):
+            continue
+        yield name, value
+        if not inspect.isclass(value):
+            continue
+        for attr, member in vars(value).items():
+            if attr.startswith("_") and attr != "__init__":
+                continue
+            getter = (member.fget if isinstance(member, property)
+                      else member.func if isinstance(member, cached_property)
+                      else getattr(member, "__func__", member))
+            if inspect.isfunction(getter):
+                yield f"{name}.{attr}", getter
+
+
+def test_every_public_annotation_resolves():
+    names = []
+    for name, value in _public_callables():
+        typing.get_type_hints(value)  # raises NameError on a name it cannot see
+        names.append(name)
+    # the binary view is annotated with a class its module cannot import
+    assert typing.get_type_hints(succession.from_binary_prior)["prior"] is BinaryPrior
+    assert {"from_binary_prior", "SequenceLaw.count_distribution",
+            "BinaryPrior.with_prior_odds", "Evidence.total"} <= set(names)
