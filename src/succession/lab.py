@@ -16,11 +16,14 @@ on integers. A table from outside the package is checked to sum to 1; one
 the package builds sums to 1 by construction and lists its count vectors in
 table order (each at its first appearance among the sequences). Urn laws,
 canonical mixtures and exchangeable rules' laws are built per class; the
-dense constructor classifies its table as it validates it. A shape table,
-one per process, holds per (length, t) the count vectors in table order and
-their multiplicities keyed by count vector, each made on first use; urn
-laws, canonical mixtures, class-stored count distributions and distances
-read it instead of walking the compositions again. It holds at most
+dense constructor classifies its table as it validates it. The law of all N
+draws from an urn is stored as its one class with mass, the urn's own
+counts, with every other class at 0, and a canonical mixture weighs only
+the classes with mass of the law it mixes. A shape table, one per process,
+holds per (length, t) the count vectors in table order and their
+multiplicities keyed by count vector, each made on first use; urn laws,
+canonical mixtures, class-stored count distributions and distances read it
+instead of walking the compositions again. It holds at most
 MAX_TABLE_SIZE count-vector entries (classes times t) over all its shapes,
 dropping the least recently used shape first.
 Pairwise operations use the class form when both operands carry it, which
@@ -545,11 +548,15 @@ def urn_law(urn: UrnComposition, k: int) -> SequenceLaw:
             f"asked for {k} draws from an urn of {urn.total} balls"
         )
     _check_shape(urn.t, k)
-    # per colour, falling(balls, c) for c = 0..k: 0 from c = balls + 1 on
-    steps = (range(balls, balls - k, -1) for balls in urn.colors)
-    tables = [[*itertools.accumulate(s, operator.mul, initial=1)] for s in steps]
-    nums = {c: math.prod(map(list.__getitem__, tables, c))
-            for c in _SHAPES.of(k, urn.t).vectors}
+    vectors = _SHAPES.of(k, urn.t).vectors
+    if k == urn.total:  # every ball drawn: only the urn's own counts have mass
+        nums = dict.fromkeys(vectors, 0)
+        nums[urn.colors] = math.prod(map(math.factorial, urn.colors))
+    else:
+        # per colour, falling(balls, c) for c = 0..k: 0 from c = balls + 1 on
+        steps = (range(balls, balls - k, -1) for balls in urn.colors)
+        tables = [[*itertools.accumulate(s, operator.mul, initial=1)] for s in steps]
+        nums = {c: math.prod(map(list.__getitem__, tables, c)) for c in vectors}
     den = falling(urn.total, k)
     return SequenceLaw.__new__(SequenceLaw)._store(urn.t, k, den, nums)
 
@@ -562,21 +569,24 @@ def canonical_mixture(law: SequenceLaw, k: int) -> SequenceLaw:
 
     The result is exchangeable and extends to any length; its distance
     from the original law's k-draw restriction is what the finite
-    representation bound controls.
+    representation bound controls. Only the law's classes with mass are
+    weighed, so the law of all N draws from an urn, stored as its one class
+    with mass, mixes a single iid law.
     """
     if not _whole(k) or not 1 <= k <= law.length:
         raise ValueError("k must satisfy 1 <= k <= law.length")
     n = law.length
-    mixing = {m: w for m, w in law._count_numerators().items() if w}
+    if law._classes is None:
+        mixing = {m: w for m, w in law._count_numerators().items() if w}
+    else:  # only the classes with mass, each times its multiplicity
+        sizes = _SHAPES.of(n, law.t).multiplicities
+        mixing = {m: w * sizes[m] for m, w in law._classes.items() if w}
     # a class gets sum_m mixing_m * prod_j m_j**c_j over law._den * n**k
     nums: dict[tuple[int, ...], int] = {}
     for counts in _SHAPES.of(k, law.t).vectors:
         total = 0
-        for m, term in mixing.items():
-            for m_j, c_j in zip(m, counts):
-                if c_j:
-                    term *= m_j**c_j
-            total += term
+        for m, w in mixing.items():
+            total += w * math.prod(map(pow, m, counts))
         nums[counts] = total
     return SequenceLaw.__new__(SequenceLaw)._store(law.t, k, law._den * n**k, nums)
 

@@ -39,7 +39,7 @@ from succession import (
     urn_law,
     variation_distance,
 )
-from succession.cli import LAB_RULE_READS, LAB_RULES, _lab_rule
+from succession.cli import LAB_RULE_READS, LAB_RULES, _lab_rule, main
 from succession import lab
 from succession.lab import MAX_TABLE_SIZE, _check_shape, _compositions, _levels
 
@@ -996,6 +996,68 @@ class TestCanonicalMixture:
             canonical_mixture(laplace_2(), 0)
         with pytest.raises(ValueError):
             canonical_mixture(laplace_2(), 3)
+
+
+def _table_order(length, t):
+    # each count vector at its first sequence, the sorted one, in the
+    # lexicographic order of those sequences
+    return sorted(oracles.compositions(length, t),
+                  key=lambda c: [j for j, n in enumerate(c) for _ in range(n)])
+
+
+class TestFullDraw:
+    """Drawing all N balls leaves one class with mass, the urn's own
+    composition b, at prod_j b_j! / N! per sequence; the canonical mixture
+    of that law is the iid law of the urn's frequencies, and a mixture reads
+    its mixing measure from the classes with mass alone."""
+
+    @pytest.mark.parametrize(("t", "max_balls"), [(2, 20), (3, 12)])
+    def test_closed_forms_on_criterion_11_grid(self, t, max_balls):
+        orders = {k: _table_order(k, t) for k in range(1, max_balls + 1)}
+        for total in range(1, max_balls + 1):
+            for colors in oracles.compositions(total, t):
+                full = urn_law(UrnComposition(colors), total)
+                mass = F(math.prod(map(math.factorial, colors)), math.factorial(total))
+                assert list(full.class_table().items()) == [
+                    (c, mass if c == colors else 0) for c in orders[total]]
+                assert full._den == math.factorial(total)
+                for k in range(1, total + 1):
+                    mixed = canonical_mixture(full, k)
+                    assert list(mixed.class_table().items()) == [
+                        (c, F(math.prod(map(pow, colors, c)), total**k))
+                        for c in orders[k]]
+                    assert mixed._den == math.factorial(total) * total**k
+
+    def test_mixing_read_from_caller_keyed_classes_with_zeros(self):
+        table = urn_law(UrnComposition((3, 0, 2)), 4).class_table()
+        shuffled = dict(sorted(table.items(), key=lambda item: (item[1], item[0][2])))
+        assert list(shuffled) != list(table) and 0 in shuffled.values()
+        law = SequenceLaw.from_class_probabilities(3, 4, shuffled)
+        for k in range(1, 5):
+            mixed = canonical_mixture(law, k)
+            assert list(mixed.class_table()) == _table_order(k, 3)
+            assert mixed.class_table() == oracles.canonical_mixture(law, k).class_table()
+
+    @pytest.mark.parametrize("make_rule", [_run_rule, _prime_rule])
+    def test_mixing_read_from_a_dense_law(self, make_rule):
+        law = law_from_predictive(make_rule(3), 3, 5)
+        assert not is_exchangeable(law)
+        for k in range(1, 6):
+            mixed = canonical_mixture(law, k)
+            assert list(mixed.class_table()) == _table_order(k, 3)
+            assert mixed.class_table() == oracles.canonical_mixture(law, k).class_table()
+
+    def test_refused_past_the_cap_as_before(self, capsys):
+        held = list(lab._SHAPES._held)
+        with pytest.raises(TableTooLarge) as refused:
+            urn_law(UrnComposition((21, 0)), 21)
+        assert str(refused.value) == (
+            "a table of 2^21 sequences, or of t entries per count class, "
+            "exceeds the cap of 1048576 entries")
+        assert list(lab._SHAPES._held) == held
+        assert main(["lab", "df-check", "--urn", "21,0", "--k", "1"]) == 4
+        assert "TableTooLarge" in capsys.readouterr().err
+        assert (21, 2) not in lab._SHAPES._held
 
 
 class TestVariationDistance:
